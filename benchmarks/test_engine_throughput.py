@@ -13,20 +13,26 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.core import fig3_schemes
 from repro.core.experiments import FIG3_MC_FOOTPRINTS
 from repro.engine import (
+    BlockStreams,
     ClusterErrorModel,
     EngineSpec,
     run_experiment,
+    run_recovery_batch,
     scalar_trial_verdict,
 )
 from repro.engine.rng import block_generator
+from repro.scenarios import BurstColumnScenario
 
 from reporting import print_series, write_bench
 
 _TARGET_SPEEDUP = 50.0
 _PACKED_TARGET_SPEEDUP = 4.0
+_BURST_TARGET_SPEEDUP = 2.0
 
 
 def _fig3_setup():
@@ -81,53 +87,82 @@ def test_engine_throughput_vs_scalar_on_fig3_workload():
     )
 
 
-def test_packed_sparse_vs_dense_on_fig3_pipeline():
-    """The PR 5 acceptance gate: the packed/sparse dispatch must carry
-    the full fig3 clustered pipeline (sampling + decode + recovery +
-    aggregation) at >= 4x the dense-tensor path, with bit-identical
-    verdicts.  In practice the gap is 10-30x (most rows are clean and
-    never decoded at all); the 4x target keeps CI margin."""
-    spec, model = _fig3_setup()
-    n_trials = 4096
+def _reference_run(spec, model, n_trials: int, seed: int, block_size: int):
+    """The uint8 reference path over the engine's own blocks:
+    ``model.sample_block`` plus :func:`run_recovery_batch`, block by
+    block.  Returns the verdicts and the wall time."""
+    started = time.perf_counter()
+    pieces = [
+        run_recovery_batch(spec, model.sample_block(BlockStreams(seed, block),
+                                                    block_size, spec))
+        for block in range(-(-n_trials // block_size))
+    ]
+    verdicts = np.concatenate(pieces)[:n_trials]
+    return verdicts, time.perf_counter() - started
 
-    # Warm both paths once so decoder/lookup-table construction and
-    # allocator warm-up stay out of the measurement.
-    run_experiment(spec, model, 256, seed=76, block_size=256, execution="dense")
-    run_experiment(spec, model, 256, seed=76, block_size=256, execution="sparse")
 
-    dense = run_experiment(spec, model, n_trials, seed=79, block_size=256,
-                           execution="dense")
-    packed = run_experiment(spec, model, n_trials, seed=79, block_size=256,
-                            execution="sparse")
+def _kernel_vs_reference(bench: str, label: str, spec, model, n_trials: int,
+                         target: float):
+    """Gate: the engine (sampling + packed decode + recovery +
+    aggregation) runs ``target`` times the dense uint8 reference path's
+    trials/s on the same blocks, with bit-identical verdicts.  The
+    record is written as ``BENCH_<bench>.json``."""
+    # Warm both paths once so table construction and allocator warm-up
+    # stay out of the measurement.
+    run_experiment(spec, model, 256, seed=76, block_size=256)
+    _reference_run(spec, model, 256, seed=76, block_size=256)
 
-    # Scheduling must not leak into results: the acceptance criterion is
-    # bit-identity first, throughput second.
-    assert (dense.verdicts == packed.verdicts).all()
-    assert dense.counts == packed.counts
+    reference, reference_s = _reference_run(spec, model, n_trials, seed=79, block_size=256)
+    started = time.perf_counter()
+    packed = run_experiment(spec, model, n_trials, seed=79, block_size=256)
+    packed_s = time.perf_counter() - started
 
-    speedup = packed.trials_per_second / dense.trials_per_second
+    # Bit-identity first, throughput second.
+    assert np.array_equal(packed.verdicts, reference)
+
+    reference_rate = n_trials / reference_s
+    packed_rate = n_trials / packed_s
+    speedup = packed_rate / reference_rate
     print_series(
-        "Packed/sparse vs dense — Fig. 3 clustered pipeline",
+        f"Packed kernel vs uint8 reference — {label}",
         {
-            "dense trials/s": round(dense.trials_per_second, 1),
-            "packed trials/s": round(packed.trials_per_second, 1),
-            "speedup": f"{speedup:.1f}x (target >= {_PACKED_TARGET_SPEEDUP:.0f}x)",
+            "uint8 reference trials/s": round(reference_rate, 1),
+            "packed trials/s": round(packed_rate, 1),
+            "speedup": f"{speedup:.1f}x (target >= {target:.0f}x)",
         },
     )
     write_bench(
-        "engine_packed",
+        bench,
         {
-            "workload": "fig3 2d_edc8_edc32, 256x288, cluster model",
-            "dense_trials_per_second": round(dense.trials_per_second, 1),
-            "packed_trials_per_second": round(packed.trials_per_second, 1),
+            "workload": f"{label}, {spec.rows}x{spec.row_bits}, {n_trials} trials",
+            "dense_trials_per_second": round(reference_rate, 1),
+            "packed_trials_per_second": round(packed_rate, 1),
             "speedup": round(speedup, 1),
-            "target_speedup": _PACKED_TARGET_SPEEDUP,
+            "target_speedup": target,
         },
     )
-    assert speedup >= _PACKED_TARGET_SPEEDUP, (
-        f"packed/sparse speedup {speedup:.1f}x below the "
-        f"{_PACKED_TARGET_SPEEDUP:.0f}x target"
+    assert speedup >= target, (
+        f"packed kernel speedup {speedup:.1f}x below the {target:.0f}x target"
     )
+
+
+def test_packed_kernel_vs_reference_on_fig3_pipeline():
+    """The fig3 clustered pipeline: most rows are clean and never
+    decoded, so the gap is far above the target (about 70x on a 2-core
+    x86 host); 4x keeps CI margin."""
+    spec, model = _fig3_setup()
+    _kernel_vs_reference("engine_packed", "fig3 2d_edc8_edc32 clustered", spec, model,
+                         4096, _PACKED_TARGET_SPEEDUP)
+
+
+def test_packed_kernel_vs_reference_on_burst_column():
+    """A column burst dirties every row, so every row is decoded on both
+    paths; the byte tables still run about 5x faster than the uint8
+    reductions on a 2-core x86 host.  2x keeps CI margin."""
+    scheme = fig3_schemes()["2d_edc8_edc32"]
+    spec = EngineSpec.from_scheme(scheme, rows=128)
+    _kernel_vs_reference("engine_packed_burst_column", "2d_edc8_edc32 burst_column",
+                         spec, BurstColumnScenario(span=1), 1024, _BURST_TARGET_SPEEDUP)
 
 
 def test_engine_scales_with_trial_count(benchmark):

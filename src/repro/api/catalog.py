@@ -527,7 +527,7 @@ def _reject_unused_model_params(ctx, selector: str, chosen: str, names: tuple) -
     params=("scenario_params",) + _RARE_KNOBS,
 )
 def _fig3_coverage_mc(ctx):
-    from repro.engine import EngineSpec, make_decoder
+    from repro.engine import EngineSpec, packed_decoder
 
     rows = int(ctx.param("array_rows"))
     columns = int(ctx.param("array_data_columns"))
@@ -547,10 +547,11 @@ def _fig3_coverage_mc(ctx):
     skipped: list[str] = []
     for key, scheme in fig3_schemes().items():
         try:
-            make_decoder(EngineSpec.from_scheme(scheme, rows=rows))
+            packed_decoder(EngineSpec.from_scheme(scheme, rows=rows))
         except ValueError:
-            # Scheme whose horizontal code has no vectorized decoder
-            # (OECNED); skip it rather than fall back to the slow path.
+            # Scheme whose horizontal code the packed kernel cannot
+            # decode (OECNED); skip it rather than fall back to the
+            # slow path.
             skipped.append(key)
             continue
         if rare is None:

@@ -302,7 +302,7 @@ class Session:
     :class:`~repro.obs.RunRecorder`: engine, cache, executor and perf
     events are collected and distilled into the result's
     ``meta["telemetry"]`` summary (cache hits/misses, phase timings,
-    shard counts, dispatch decisions — see DESIGN.md §4).  Telemetry is
+    shard counts, decoded dirty rows — see DESIGN.md §4).  Telemetry is
     observational only: it never enters ``data`` or any cache key, so a
     cached re-run returns bit-identical payloads with only
     ``meta["telemetry"]`` differing.

@@ -7,16 +7,16 @@ where the scalar path (:mod:`repro.array`) walks one bank bit by bit:
   (``SeedSequence`` spawning per fixed-size trial block, with per-lane
   substreams for multi-population scenarios) that make results
   independent of worker count and chunk size.
-* :mod:`repro.engine.batch` — NumPy-vectorized decode and recovery:
-  error masks as ``(trials, rows, row_bits)`` bit arrays, horizontal
-  syndromes and vertical parity reconstruction as XOR reductions.
-  Mask *production* lives in the pluggable scenario subsystem
+* :mod:`repro.engine.packed` — the recovery kernel every block runs
+  on: the dirty rows of a block, byte-packed, decoded through per-byte
+  syndrome tables, then scrubbed, rebuilt from their vertical groups
+  and classified without unpacking.
+* :mod:`repro.engine.batch` — the experiment spec and verdict codes,
+  plus the ``uint8`` reference decode/recovery
+  (:func:`run_recovery_batch`) the kernel is tested against.  Mask
+  *production* lives in the pluggable scenario subsystem
   (:mod:`repro.scenarios`); the historical model names exported here
   are aliases of its built-ins.
-* :mod:`repro.engine.packed` — bit-packed ``uint64`` decode kernels
-  (codeword-bit-major per interleave slot; masked-popcount parity and
-  SECDED syndromes) and the sparse-trial dispatch that decodes only
-  rows carrying errors — bit-identical to the dense path.
 * :mod:`repro.engine.executor` — :class:`SharedExecutor`, the
   persistent, explicit-start-method worker pool the runner and the
   performance backend share (a :class:`repro.api.Session` owns one for
@@ -58,14 +58,7 @@ from .batch import (
 from .cache import ResultCache, cache_key
 from .executor import SharedExecutor, resolve_mp_context
 from .oracle import scalar_trial_verdict, scalar_verdicts
-from .packed import (
-    PackedParityDecoder,
-    PackedSecdedDecoder,
-    make_packed_decoder,
-    pack_rows,
-    run_recovery_batch_sparse,
-    unpack_rows,
-)
+from .packed import PackedBlock, PackedDecoder, packed_decoder, run_packed
 from .rng import (
     DEFAULT_BLOCK_SIZE,
     BlockStreams,
@@ -107,12 +100,10 @@ __all__ = [
     "cache_key",
     "SharedExecutor",
     "resolve_mp_context",
-    "PackedParityDecoder",
-    "PackedSecdedDecoder",
-    "make_packed_decoder",
-    "pack_rows",
-    "run_recovery_batch_sparse",
-    "unpack_rows",
+    "PackedBlock",
+    "PackedDecoder",
+    "packed_decoder",
+    "run_packed",
     "scalar_trial_verdict",
     "scalar_verdicts",
     "DEFAULT_BLOCK_SIZE",

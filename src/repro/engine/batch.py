@@ -1,11 +1,12 @@
-"""Vectorized 2D decode and recovery over batches of trials.
+"""The engine spec, verdict codes, and the ``uint8`` reference path.
 
-This module is the compute kernel of the Monte Carlo engine.  Where the
-scalar path (:mod:`repro.array.recovery`) walks one bank bit by bit, the
-batch path evaluates **thousands of independent array instances at
-once**: error patterns are ``(trials, rows, row_bits)`` bit arrays, and
-horizontal syndromes / vertical parity reconstruction are XOR reductions
-along axes.
+:class:`EngineSpec` describes the simulated bank for every engine run.
+:func:`run_recovery_batch` and its ``VectorDecoder``s are the reference
+2D decode and recovery: error patterns are ``(trials, rows, row_bits)``
+``uint8`` arrays, and horizontal syndromes / vertical parity
+reconstruction are XOR reductions along axes.  Runs go through the
+byte-packed kernel of :mod:`repro.engine.packed` instead; this path
+stays as the plainly written twin the tests hold the kernel against.
 
 The decode paths consume pre-sampled mask batches; *producing* them is
 the job of the fault-scenario subsystem (:mod:`repro.scenarios`), whose
@@ -72,6 +73,7 @@ __all__ = [
     "SecdedVectorDecoder",
     "make_decoder",
     "run_recovery_batch",
+    "secded_probe",
     "VERDICT_CORRECTED",
     "VERDICT_DETECTED",
     "VERDICT_SILENT",
@@ -277,6 +279,36 @@ class ParityVectorDecoder(VectorDecoder):
         return DecodeBatch(faulty=syndrome.any(axis=-2), corrections=None)
 
 
+def secded_probe(code: SecdedCode) -> "tuple[np.ndarray, np.ndarray]":
+    """SECDED parity-check structure, probed through ``code.encode``.
+
+    Returns ``(contrib, lut)``: ``contrib[b]`` is the ``m``-bit Hamming
+    syndrome contribution of codeword bit ``b`` (data bit ``b``
+    contributes ``encode(e_b)[:m]``, stored check bit ``j < m``
+    contributes ``e_j``, the extended parity bit nothing), and
+    ``lut[syndrome]`` is the codeword bit to correct when the overall
+    parity is odd, ``-1`` for illegal syndromes.  Probing keeps the
+    vectorized decoders bit-exact with the scalar one, including
+    miscorrections of multi-bit patterns that alias to legal
+    single-error syndromes.
+    """
+    data = code.data_bits
+    m = code.check_bits - 1
+    contrib = np.zeros((data + code.check_bits, m), dtype=np.uint8)
+    unit = np.zeros(data, dtype=np.uint8)
+    for b in range(data):
+        unit[b] = 1
+        contrib[b] = code.encode(unit)[:m]
+        unit[b] = 0
+    contrib[data + np.arange(m), np.arange(m)] = 1
+    positions = contrib[:data].astype(np.int64) @ (1 << np.arange(m))
+    lut = np.full(1 << m, -1, dtype=np.int64)
+    lut[0] = data + m  # extended parity bit itself
+    lut[1 << np.arange(m)] = data + np.arange(m)
+    lut[positions] = np.arange(data)
+    return contrib, lut
+
+
 class SecdedVectorDecoder(VectorDecoder):
     """Extended-Hamming SECDED with syndrome lookup-table correction.
 
@@ -288,35 +320,9 @@ class SecdedVectorDecoder(VectorDecoder):
 
     def __init__(self, code: SecdedCode, interleave_degree: int):
         super().__init__(code, interleave_degree)
-        data = code.data_bits
-        m = code.check_bits - 1
-        self._m = m
-        # Hamming-syndrome contribution of each codeword bit, probed via
-        # encode: data bit b contributes encode(e_b)[:m]; stored check
-        # bit j < m contributes e_j; the extended parity bit contributes
-        # nothing to the Hamming syndrome.
-        contrib = np.zeros((self.codeword_bits, m), dtype=np.uint8)
-        unit = np.zeros(data, dtype=np.uint8)
-        positions = np.zeros(data, dtype=np.int64)
-        for b in range(data):
-            unit[b] = 1
-            enc = code.encode(unit)[:m]
-            unit[b] = 0
-            contrib[b] = enc
-            positions[b] = int(enc.astype(np.int64) @ (1 << np.arange(m)))
-        for j in range(m):
-            contrib[data + j, j] = 1
-        self._syndrome_bits = [np.nonzero(contrib[:, i])[0] for i in range(m)]
-        # Syndrome value -> codeword bit to correct when the overall
-        # parity says "odd number of flips"; -1 marks illegal syndromes
-        # (detected-uncorrectable).
-        lut = np.full(1 << m, -1, dtype=np.int64)
-        lut[0] = data + m  # extended parity bit itself
-        for j in range(m):
-            lut[1 << j] = data + j
-        for b in range(data):
-            lut[positions[b]] = b
-        self._lut = lut
+        contrib, self._lut = secded_probe(code)
+        self._m = contrib.shape[1]
+        self._syndrome_bits = [np.nonzero(contrib[:, i])[0] for i in range(self._m)]
 
     def decode(self, row_masks: np.ndarray) -> DecodeBatch:
         w = self._check_shape(row_masks)

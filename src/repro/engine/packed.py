@@ -1,355 +1,306 @@
-"""Bit-packed decode kernels and the sparse-trial dispatch path.
+"""The byte-packed GF(2) recovery kernel every Monte Carlo block runs on.
 
-The dense decoders in :mod:`repro.engine.batch` spend one full byte of
-memory traffic per array *bit*: a ``(trials, rows, row_bits)`` mask is a
-``uint8`` tensor, so every XOR reduction and parity fold moves 8x more
-data than the information it processes.  This module removes that waste
-in two independent, composable steps.
+In the 2D scheme every decision the engine makes is a linear map over
+GF(2): the horizontal EDC/SECDED syndrome of each interleaved word, the
+vertical parity XOR across a row group, and the row rebuilt from that
+XOR.  This module evaluates all of them on **byte-packed dirty rows**.
 
-**Bit-packed words.**  Row masks are repacked *codeword-bit-major per
-interleave slot*: the ``codeword_bits`` cells of one interleave slot's
-codeword become the low bits of ``ceil(codeword_bits / 64)`` ``uint64``
-words (:func:`pack_rows`).  Each bitwise operation then touches 64
-codeword-bit lanes at once, and the decode primitives collapse to
-masked popcounts:
+**Layout.**  A :class:`PackedBlock` lists only the rows that carry any
+error, as parallel ``(trial_idx, row_idx)`` arrays plus one
+``np.packbits`` row each: physical cell ``c`` is bit ``7 - c % 8`` of
+byte ``c // 8`` and the padding bits of the last byte are zero, so a
+288-cell row is 36 bytes.  A dense block is the same layout with every
+row listed.  Clean rows decode clean with no corrections and add
+nothing to a vertical group's XOR, so leaving them out is lossless.
 
-* an interleaved-parity group's syndrome bit is
-  ``popcount(word & group_mask) & 1`` (:class:`PackedParityDecoder`) —
-  one mask per parity group, built once from ``code.group_of``, which
-  also makes modular, contiguous *and* generic group maps take the
-  same code path;
-* SECDED's overall parity is the popcount of the whole packed codeword
-  (``popcount(words) & 1``), and each Hamming syndrome bit is a masked
-  popcount over the probed parity-check columns
-  (:class:`PackedSecdedDecoder`, sharing the dense decoder's lookup
-  table bit for bit).
+**Syndrome tables.**  Each interleave slot owns an ``f``-bit field of a
+``uint64`` syndrome word: the ``n`` group parities of EDCn / byte
+parity, or SECDED's ``m`` Hamming bits plus the overall parity.  Since
+the syndrome is linear in the row, it splits into per-byte tables:
+``T_j[v]`` is the syndrome of a row whose only nonzero byte is ``v`` at
+byte ``j``, and a row's syndrome is ``XOR_j T_j[row[j]]`` — one gather
+per byte, for any group map.  "Some data bit of the slot is wrong" is
+a second, OR-combined table over the same bytes.
 
-**Sparse-trial dispatch.**  At the paper's Fig. 3 / Fig. 8 error rates
-almost every row of almost every trial is clean, and the linear codes
-decode an all-zero row as clean with no corrections.
-:func:`run_recovery_batch_sparse` therefore consumes a
-:class:`~repro.scenarios.sparse.SparseRowBatch` — only the rows with
-any error, gathered up front (``np.nonzero`` on per-row any-bits) —
-and replays the dense scrub / row-reconstruction / classification
-sequence of :func:`repro.engine.batch.run_recovery_batch` over those
-rows alone.  Clean rows contribute nothing to any step (their decode
-is clean, their content mask is zero, so they drop out of the vertical
-group syndromes), which is why the sparse verdicts are **bit-identical**
-to the dense ones by construction, not just by test.
+**Decisions.**  A parity slot is faulty when its field is nonzero.  A
+SECDED slot looks its field up in an action table built from the probed
+correction table of :func:`repro.engine.batch.secded_probe` (the same
+``code.encode`` probe the reference decoder uses): clean, faulty, or
+the cell to flip.  Multi-bit patterns that alias to a legal single-error
+syndrome therefore miscorrect exactly as the scalar decoder does.
 
-Packing uses ``np.packbits(bitorder="little")`` for both data and masks,
-so the word layout is endian-consistent on any host.
+Verdicts are bit-identical to the ``uint8`` reference
+:func:`repro.engine.batch.run_recovery_batch`; the tests hold the two
+side by side.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.coding.base import WordCode
 from repro.coding.hamming import SecdedCode
 from repro.coding.parity import InterleavedParityCode
 from repro.scenarios.sparse import SparseRowBatch
 
-from .batch import (
-    VERDICT_DETECTED,
-    VERDICT_SILENT,
-    DecodeBatch,
-    EngineSpec,
-    SecdedVectorDecoder,
-    VectorDecoder,
-    make_decoder,
-)
+from .batch import VERDICT_DETECTED, VERDICT_SILENT, EngineSpec, secded_probe
 
-__all__ = [
-    "pack_rows",
-    "unpack_rows",
-    "popcount_words",
-    "PackedParityDecoder",
-    "PackedSecdedDecoder",
-    "make_packed_decoder",
-    "run_recovery_batch_sparse",
-    "SPARSE_DISPATCH_BREAK_EVEN",
-]
-
-#: Dirty-row fraction above which the sparse path stops paying: per
-#: dirty row it adds a gather, a scatter and index bookkeeping worth
-#: roughly two dense row-decodes, so the crossover sits near 1/3 dirty;
-#: 0.25 keeps margin (see DESIGN.md, "Sparse dispatch break-even").
-SPARSE_DISPATCH_BREAK_EVEN = 0.25
+__all__ = ["PackedBlock", "PackedDecoder", "packed_decoder", "run_packed"]
 
 _WORD_BITS = 64
+#: Action-table entries of a SECDED slot that is clean / faulty; any
+#: other entry is the physical cell the decoder flips.
+_CLEAN = -1
+_FAULTY = -2
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a trailing bit axis into little-endian ``uint64`` words."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    n = bits.shape[-1]
-    pad = -n % _WORD_BITS
-    if pad:
-        bits = np.concatenate(
-            [bits, np.zeros(bits.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
+@dataclass(frozen=True)
+class PackedBlock:
+    """The dirty rows of a block of trials, byte-packed.
+
+    ``trial_idx``/``row_idx`` name each listed row; ``rows`` holds its
+    ``(n, row_bytes)`` packed error mask.  Trials with no listed row
+    are clean.
+    """
+
+    n_trials: int
+    trial_idx: np.ndarray
+    row_idx: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def from_sparse(cls, batch: SparseRowBatch) -> "PackedBlock":
+        return cls(
+            batch.n_trials,
+            batch.trial_idx,
+            batch.row_idx,
+            np.packbits(batch.rows, axis=-1),
         )
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    return packed.view(np.dtype("<u8"))
+
+    @classmethod
+    def from_masks(cls, masks: np.ndarray) -> "PackedBlock":
+        """Pack a dense ``(trials, rows, row_bits)`` mask batch."""
+        packed = np.packbits(np.asarray(masks, dtype=np.uint8), axis=-1)
+        trial_idx, row_idx = np.nonzero(packed.any(axis=-1))
+        return cls(masks.shape[0], trial_idx, row_idx, packed[trial_idx, row_idx])
 
 
-def _unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits`, truncated to ``n_bits``."""
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[..., :n_bits]
+def _byte_tables(cell_values: np.ndarray, combine) -> np.ndarray:
+    """``(row_bytes, 256)`` tables of ``combine`` over the set bits.
+
+    ``cell_values`` holds one ``uint64`` per packed cell (padding cells
+    included); entry ``[j, v]`` combines the values of the cells whose
+    bits are set in byte value ``v`` at byte ``j``.
+    """
+    # np.packbits is MSB-first: bit value 1 << k is cell 8j + 7 - k.
+    per_bit = cell_values.reshape(-1, 8)[:, ::-1]
+    tables = np.zeros((per_bit.shape[0], 256), dtype=np.uint64)
+    for k in range(8):
+        low = 1 << k
+        tables[:, low : 2 * low] = combine(tables[:, :low], per_bit[:, k : k + 1])
+    return tables
 
 
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def popcount_words(words: np.ndarray) -> np.ndarray:
-        """Total set bits over the trailing word axis."""
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-    _BYTE_POPCOUNT = np.array(
-        [bin(v).count("1") for v in range(256)], dtype=np.uint8
-    )
-
-    def popcount_words(words: np.ndarray) -> np.ndarray:
-        """Total set bits over the trailing word axis."""
-        as_bytes = np.ascontiguousarray(words).view(np.uint8)
-        return _BYTE_POPCOUNT[as_bytes].sum(axis=-1, dtype=np.int64)
+def _gather(tables: np.ndarray, rows: np.ndarray, combine) -> np.ndarray:
+    """``combine`` over bytes of ``tables[j, rows[:, j]]``: ``(n,)``."""
+    columns = np.ascontiguousarray(rows.T)
+    acc = tables[0].take(columns[0])
+    for j in range(1, columns.shape[0]):
+        combine(acc, tables[j].take(columns[j]), out=acc)
+    return acc
 
 
-def pack_rows(
-    row_masks: np.ndarray, codeword_bits: int, interleave_degree: int
+class PackedDecoder:
+    """Byte-table decoder for one horizontal code and interleave degree.
+
+    :meth:`decode` maps ``(n, row_bytes)`` packed rows to per-row slot
+    bitmasks of detected-uncorrectable words plus the rows' residual
+    error after inline correction.  Raises ``ValueError`` for codes
+    other than interleaved parity (EDCn, byte parity, any group map)
+    and SECDED.
+    """
+
+    def __init__(self, code: WordCode, interleave_degree: int):
+        d = interleave_degree
+        if d < 1:
+            raise ValueError("interleave_degree must be positive")
+        if d > _WORD_BITS:
+            raise ValueError(f"at most {_WORD_BITS} interleave slots, got {d}")
+        data = code.data_bits
+        codeword_bits = data + code.check_bits
+        if isinstance(code, SecdedCode):
+            contrib, lut = secded_probe(code)
+            m = contrib.shape[1]
+            field_bits = m + 1
+            # Hamming bits, then the overall parity every bit feeds.
+            values = contrib.astype(np.uint64) @ (np.uint64(1) << np.arange(m, dtype=np.uint64))
+            values |= np.uint64(1 << m)
+        elif isinstance(code, InterleavedParityCode):
+            field_bits = code.interleave
+            groups = [code.group_of(b) for b in range(data)] + list(range(field_bits))
+            values = np.uint64(1) << np.array(groups, dtype=np.uint64)
+            lut = None
+        else:
+            raise ValueError(
+                f"no packed decoder for {code.name!r}; the engine supports "
+                "interleaved-parity (EDCn / byte parity) and SECDED codes"
+            )
+        if field_bits > _WORD_BITS:
+            raise ValueError(f"{code.name!r} syndromes exceed {_WORD_BITS} bits per word")
+        self.interleave_degree = d
+        self.row_bits = codeword_bits * d
+        self.row_bytes = -(-self.row_bits // 8)
+        self.all_slots = np.uint64((1 << d) - 1)
+        self._field_mask = np.uint64((1 << field_bits) - 1)
+
+        # Slot s fills field (s % per_word) of syndrome word s // per_word.
+        per_word = _WORD_BITS // field_bits
+        cells = np.arange(self.row_bytes * 8)
+        live = cells < self.row_bits
+        bit, slot = np.divmod(np.where(live, cells, 0), d)
+        shifted = values[bit] << ((slot % per_word) * field_bits).astype(np.uint64)
+        self._syndrome_tables = [
+            _byte_tables(np.where(live & (slot // per_word == w), shifted, 0), np.bitwise_xor)
+            for w in range(-(-d // per_word))
+        ]
+        self._slot_fields = [
+            [(s, np.uint64((s % per_word) * field_bits)) for s in range(d) if s // per_word == w]
+            for w in range(len(self._syndrome_tables))
+        ]
+        slot_bit = np.uint64(1) << slot.astype(np.uint64)
+        self._data_tables = _byte_tables(
+            np.where(live & (bit < data), slot_bit, 0).astype(np.uint64), np.bitwise_or
+        )
+
+        self._actions = None
+        if lut is not None:
+            # Field value -> action, per slot: SECDED corrects when the
+            # overall parity is odd and the Hamming syndrome is legal.
+            field = np.arange(1 << field_bits)
+            hamming, overall = field & ((1 << m) - 1), field >> m
+            target = lut[hamming]
+            base = np.where(
+                field == 0,
+                _CLEAN,
+                np.where((overall == 1) & (target >= 0), target * d, _FAULTY),
+            )
+            self._actions = [
+                np.where(base >= 0, base + s, base).astype(np.int64) for s in range(d)
+            ]
+
+    def decode(self, rows: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """``(faulty, residual)`` of ``(n, row_bytes)`` packed rows.
+
+        ``faulty`` is an ``(n,)`` ``uint64`` bitmask of the slots
+        flagged detected-uncorrectable; ``residual`` is ``rows`` with the
+        decoder's corrections applied (``rows`` itself when none).
+        """
+        faulty = np.zeros(rows.shape[0], dtype=np.uint64)
+        residual = rows
+        for tables, fields in zip(self._syndrome_tables, self._slot_fields):
+            syndrome = _gather(tables, rows, np.bitwise_xor)
+            for slot, shift in fields:
+                field = (syndrome >> shift) & self._field_mask
+                if self._actions is None:
+                    faulty |= (field != 0).astype(np.uint64) << np.uint64(slot)
+                    continue
+                action = self._actions[slot].take(field.astype(np.intp))
+                faulty |= (action == _FAULTY).astype(np.uint64) << np.uint64(slot)
+                fix = np.flatnonzero(action >= 0)
+                if fix.size:
+                    if residual is rows:
+                        residual = rows.copy()
+                    cells = action[fix]
+                    residual[fix, cells >> 3] ^= (0x80 >> (cells & 7)).astype(np.uint8)
+        return faulty, residual
+
+    def data_wrong(self, rows: np.ndarray) -> np.ndarray:
+        """``(n,)`` bitmask of the slots with any data bit set in ``rows``."""
+        return _gather(self._data_tables, rows, np.bitwise_or)
+
+
+@functools.lru_cache(maxsize=64)
+def packed_decoder(spec: EngineSpec) -> PackedDecoder:
+    """The spec's decoder, built on first use and kept per process
+    (persistent-pool workers keep their tables across chunks and runs).
+    Raises ``ValueError`` for codes the kernel cannot decode."""
+    return PackedDecoder(spec.build_code(), spec.interleave_degree)
+
+
+def run_packed(
+    spec: EngineSpec, block: PackedBlock, decoder: "PackedDecoder | None" = None
 ) -> np.ndarray:
-    """Pack ``(..., row_bits)`` masks into per-slot codeword words.
+    """Decode, recover and classify a block; ``(n_trials,)`` verdicts.
 
-    Input rows use the physical bank layout (cell ``b * D + s`` is
-    codeword bit ``b`` of interleave slot ``s``); the output has shape
-    ``(..., D, ceil(codeword_bits / 64))`` with codeword bit ``b`` of
-    slot ``s`` at bit ``b % 64`` of word ``b // 64`` — codeword-bit-major
-    per interleave slot.
+    The scrub, row-reconstruction and read-out sequence is that of
+    :func:`repro.engine.batch.run_recovery_batch`, restricted to the
+    listed rows.  ``decoder`` defaults to :func:`packed_decoder`.
     """
-    w = np.asarray(row_masks, dtype=np.uint8)
-    b, d = codeword_bits, interleave_degree
-    if w.shape[-1] != b * d:
-        raise ValueError(f"expected rows of {b * d} bits, got {w.shape[-1]}")
-    lead = w.shape[:-1]
-    per_slot = np.moveaxis(w.reshape(*lead, b, d), -1, -2)  # (..., D, B)
-    return _pack_bits(per_slot)
-
-
-def unpack_rows(
-    packed: np.ndarray, codeword_bits: int, interleave_degree: int
-) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: back to ``(..., row_bits)`` uint8."""
-    b, d = codeword_bits, interleave_degree
-    bits = _unpack_bits(packed, b)  # (..., D, B)
-    lead = bits.shape[:-2]
-    return np.moveaxis(bits, -1, -2).reshape(*lead, b * d)
-
-
-# ----------------------------------------------------------------------
-# packed decoders
-# ----------------------------------------------------------------------
-
-class PackedParityDecoder(VectorDecoder):
-    """Interleaved-parity decode over packed codeword words.
-
-    One precomputed ``uint64`` bit mask per parity group selects the
-    group's data bits plus its check bit; the group syndrome is the
-    masked popcount's parity.  Because the masks come straight from
-    ``code.group_of``, EDCn, byte parity and arbitrary (generic) group
-    maps are all the same two-instruction kernel.  Verdict-compatible
-    with :class:`repro.engine.batch.ParityVectorDecoder` bit for bit.
-    """
-
-    def __init__(self, code: InterleavedParityCode, interleave_degree: int):
-        super().__init__(code, interleave_degree)
-        n = code.interleave
-        membership = np.zeros((n, self.codeword_bits), dtype=np.uint8)
-        for bit in range(code.data_bits):
-            membership[code.group_of(bit), bit] = 1
-        for group in range(n):
-            membership[group, code.data_bits + group] = 1
-        self._group_masks = _pack_bits(membership)  # (n_groups, words)
-        self._n_groups = n
-
-    def decode_packed(self, packed: np.ndarray) -> DecodeBatch:
-        """Decode pre-packed ``(..., D, words)`` rows."""
-        faulty = np.zeros(packed.shape[:-1], dtype=bool)
-        for group in range(self._n_groups):
-            syndrome = popcount_words(packed & self._group_masks[group]) & 1
-            faulty |= syndrome.astype(bool)
-        return DecodeBatch(faulty=faulty, corrections=None)
-
-    def decode(self, row_masks: np.ndarray) -> DecodeBatch:
-        w = self._check_shape(row_masks)
-        return self.decode_packed(
-            pack_rows(w, self.codeword_bits, self.interleave_degree)
-        )
-
-
-class PackedSecdedDecoder(VectorDecoder):
-    """Extended-Hamming SECDED over packed codeword words.
-
-    Wraps a dense :class:`SecdedVectorDecoder` and reuses its probed
-    syndrome structure and correction lookup table, so classification
-    and corrections are bit-identical by construction.  The kernels
-    differ: the overall parity is one popcount of the packed codeword,
-    and each Hamming syndrome bit is a masked popcount.
-    """
-
-    def __init__(self, dense: SecdedVectorDecoder):
-        super().__init__(dense.code, dense.interleave_degree)
-        self._m = dense._m
-        self._lut = dense._lut
-        membership = np.zeros((self._m, self.codeword_bits), dtype=np.uint8)
-        for i, bits in enumerate(dense._syndrome_bits):
-            membership[i, bits] = 1
-        self._syndrome_masks = _pack_bits(membership)  # (m, words)
-
-    def decode_packed(self, packed: np.ndarray) -> DecodeBatch:
-        """Decode pre-packed ``(..., D, words)`` rows."""
-        lead = packed.shape[:-2]
-        d, b = self.interleave_degree, self.codeword_bits
-        overall = popcount_words(packed) & 1  # (..., D)
-        syndrome = np.zeros(packed.shape[:-1], dtype=np.int64)
-        for i in range(self._m):
-            bit = popcount_words(packed & self._syndrome_masks[i]) & 1
-            syndrome |= bit << i
-        target = self._lut[syndrome]  # (..., D)
-        correctable = (overall == 1) & (target >= 0)
-        faulty = ((overall == 0) & (syndrome != 0)) | ((overall == 1) & (target < 0))
-        corrections = np.zeros((*lead, b, d), dtype=np.uint8)
-        np.put_along_axis(
-            corrections,
-            np.maximum(target, 0)[..., None, :],
-            correctable[..., None, :].astype(np.uint8),
-            axis=-2,
-        )
-        return DecodeBatch(
-            faulty=faulty, corrections=corrections.reshape(*lead, self.row_bits)
-        )
-
-    def decode(self, row_masks: np.ndarray) -> DecodeBatch:
-        w = self._check_shape(row_masks)
-        return self.decode_packed(
-            pack_rows(w, self.codeword_bits, self.interleave_degree)
-        )
-
-
-def make_packed_decoder(spec: EngineSpec) -> VectorDecoder:
-    """Packed decoder for a spec, mirroring :func:`make_decoder`."""
-    dense = make_decoder(spec)
-    if isinstance(dense, SecdedVectorDecoder):
-        return PackedSecdedDecoder(dense)
-    return PackedParityDecoder(dense.code, spec.interleave_degree)
-
-
-# ----------------------------------------------------------------------
-# sparse-trial dispatch
-# ----------------------------------------------------------------------
-
-def run_recovery_batch_sparse(
-    spec: EngineSpec,
-    batch: SparseRowBatch,
-    decoder: "VectorDecoder | None" = None,
-) -> np.ndarray:
-    """Sparse twin of :func:`repro.engine.batch.run_recovery_batch`.
-
-    Consumes the dirty rows only and returns the identical
-    ``(n_trials,)`` verdict array the dense path would produce on
-    ``batch.densify()``.  ``decoder`` defaults to the packed decoder;
-    any decoder with dense-path semantics (e.g. for property tests) is
-    accepted.
-    """
-    if batch.array_rows != spec.rows or batch.row_bits != spec.row_bits:
-        raise ValueError(
-            f"sparse batch geometry ({batch.array_rows}, {batch.row_bits}) does "
-            f"not match the spec ({spec.rows}, {spec.row_bits})"
-        )
     if decoder is None:
-        decoder = make_packed_decoder(spec)
-
-    verdicts = np.zeros(batch.n_trials, dtype=np.uint8)  # VERDICT_CORRECTED
-    n_pairs = batch.n_pairs
-    if n_pairs == 0:
+        decoder = packed_decoder(spec)
+    if block.rows.ndim != 2 or block.rows.shape[1] != decoder.row_bytes:
+        raise ValueError(
+            f"packed rows of shape {block.rows.shape} do not match the spec's "
+            f"geometry ({decoder.row_bytes} bytes per row)"
+        )
+    verdicts = np.zeros(block.n_trials, dtype=np.uint8)  # VERDICT_CORRECTED
+    if not block.rows.shape[0]:
         return verdicts
-    trial_idx = batch.trial_idx
-    state = np.asarray(batch.rows, dtype=np.uint8).copy()
+    faulty, residual = decoder.decode(block.rows)
+    if spec.is_two_dimensional and faulty.any():
+        faulty, residual = _recover(spec, decoder, block, faulty, residual)
 
-    if spec.is_two_dimensional:
-        state = _recover_sparse(spec, state, batch, decoder)
-
-    # Classification over the final dirty rows; clean rows decode clean
-    # with zero residual, so they cannot flip any trial's verdict.
-    dec = decoder.decode(state)
-    residual = state ^ dec.corrections if dec.corrections is not None else state
-    d = spec.interleave_degree
-    data_wrong = (
-        residual[:, : spec.data_bits * d].reshape(n_pairs, spec.data_bits, d).any(axis=1)
-    )
-    word_due = dec.faulty
-    word_silent = ~word_due & data_wrong
-    verdicts[trial_idx[word_due.any(axis=-1)]] = VERDICT_DETECTED
-    # Silent corruption dominates the trial verdict, exactly as dense.
-    verdicts[trial_idx[word_silent.any(axis=-1)]] = VERDICT_SILENT
+    # Read-out: a word is silently wrong when its slot is not flagged
+    # but a data bit of the residual is set; silent dominates detected.
+    check = np.flatnonzero(residual.any(axis=1) & (faulty != decoder.all_slots))
+    silent = check[(decoder.data_wrong(residual[check]) & ~faulty[check]) != 0]
+    verdicts[block.trial_idx[faulty != 0]] = VERDICT_DETECTED
+    verdicts[block.trial_idx[silent]] = VERDICT_SILENT
     return verdicts
 
 
-def _recover_sparse(
+def _recover(
     spec: EngineSpec,
-    state: np.ndarray,
-    batch: SparseRowBatch,
-    decoder: VectorDecoder,
-) -> np.ndarray:
-    """Scrub + row reconstruction over the dirty rows only.
+    decoder: PackedDecoder,
+    block: PackedBlock,
+    faulty: np.ndarray,
+    content: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Row reconstruction (Fig. 4(b) phase 2) over the listed rows.
 
-    Mirrors :func:`repro.engine.batch._recover_batch` step for step;
-    the vertical group syndromes reduce over the dirty members of each
-    ``(trial, group)`` segment because clean rows contribute an
-    all-zero content mask.
+    ``faulty``/``content`` are the first decode of the block's rows;
+    returns the read-out's ``(faulty, residual)``.  No row is decoded a
+    third time: a word the decoder corrects has a zero syndrome
+    afterwards (the flipped bit's syndrome column equals the syndrome),
+    so a scrubbed row and an installed rebuild read out exactly as their
+    last decode says — no faulty slot, the corrected content.  The scrub
+    (phase 1) therefore needs no work here, and one pass suffices (see
+    :func:`repro.engine.batch._recover_batch`).
     """
     v = spec.vertical_groups
-    assert v is not None
-
-    dec = decoder.decode(state)
-    row_faulty = dec.faulty.any(axis=-1)  # (n_pairs,)
-    if dec.corrections is not None:
-        content = state ^ dec.corrections
-        state = np.where(row_faulty[:, None], state, content)
-    else:
-        content = state
-    if not row_faulty.any():
-        return state
-
-    # A (trial, vertical-group) key per dirty row; groups with exactly
-    # one faulty member are reconstructible.
-    group_key = batch.trial_idx * v + (batch.row_idx % v)
-    faulty_pairs = np.nonzero(row_faulty)[0]
-    _, inverse, counts = np.unique(
-        group_key[faulty_pairs], return_inverse=True, return_counts=True
-    )
-    targets = faulty_pairs[counts[inverse] == 1]
-    if targets.size == 0:
-        return state
-
-    # Segmented XOR of content over each (trial, group): sort the dirty
-    # rows by key once, reduce between boundaries.
-    order = np.argsort(group_key, kind="stable")
-    sorted_keys = group_key[order]
-    seg_starts = np.nonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])[0]
-    segment_xor = np.bitwise_xor.reduceat(content[order], seg_starts, axis=0)
-    segment_of = np.searchsorted(sorted_keys[seg_starts], group_key[targets])
-
-    # Rebuilding the lone faulty row leaves it with the XOR of the
-    # *other* members' residuals.
-    candidate = segment_xor[segment_of] ^ content[targets]
-    cand_dec = decoder.decode(candidate)
-    accepted = ~cand_dec.faulty.any(axis=-1)
-    if not accepted.any():
-        return state
-    if cand_dec.corrections is not None:
-        repaired = candidate ^ cand_dec.corrections
-    else:
-        repaired = candidate
-    state[targets[accepted]] = repaired[accepted]
-    return state
+    # A group with exactly one faulty row can rebuild it from the XOR of
+    # the other members' content (clean rows contribute zero).
+    key = block.trial_idx * v + block.row_idx % v
+    faulty_rows = np.flatnonzero(faulty)
+    _, inverse, counts = np.unique(key[faulty_rows], return_inverse=True, return_counts=True)
+    targets = faulty_rows[counts[inverse] == 1]
+    if not targets.size:
+        return faulty, content
+    order = np.argsort(key, kind="stable")
+    sorted_keys = key[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    group_xor = np.bitwise_xor.reduceat(content[order], starts, axis=0)
+    group_of = np.searchsorted(sorted_keys[starts], key[targets])
+    candidate = group_xor[group_of] ^ content[targets]
+    candidate_faulty, repaired = decoder.decode(candidate)
+    # Only a rebuild whose every slot decodes clean-or-correctable is
+    # installed.
+    accepted = candidate_faulty == 0
+    faulty = faulty.copy()
+    faulty[targets[accepted]] = 0
+    residual = content.copy()
+    residual[targets[accepted]] = repaired[accepted]
+    return faulty, residual

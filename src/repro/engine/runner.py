@@ -6,9 +6,9 @@ a persistent :class:`~repro.engine.executor.SharedExecutor` pool, and
 merges the per-chunk tallies.  Because every trial's randomness is keyed
 by its block (:mod:`repro.engine.rng`) and the merge is a commutative sum
 plus an order-restoring concatenation, **the result is bit-identical for
-any worker count, chunk size, executor and execution mode** —
-parallelism and the sparse/packed dispatch (:mod:`repro.engine.packed`)
-are purely throughput knobs.
+any worker count, chunk size and executor** — parallelism is purely a
+throughput knob.  Every block, however it was sampled, is evaluated by
+the one byte-packed kernel of :mod:`repro.engine.packed`.
 
 Results can be transparently memoized through
 :class:`repro.engine.cache.ResultCache`; repeated experiment runs with
@@ -17,7 +17,6 @@ the same spec/model/trials/seed are then free.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
@@ -38,14 +37,10 @@ from .aggregate import (
     WeightedTally,
     relative_half_width,
 )
-from .batch import EngineSpec, make_decoder, run_recovery_batch
+from .batch import EngineSpec
 from .cache import ENGINE_VERSION, ResultCache, cache_key
 from .executor import SharedExecutor
-from .packed import (
-    SPARSE_DISPATCH_BREAK_EVEN,
-    make_packed_decoder,
-    run_recovery_batch_sparse,
-)
+from .packed import PackedBlock, run_packed
 from .rng import (
     DEFAULT_BLOCK_SIZE,
     BlockStreams,
@@ -58,31 +53,9 @@ __all__ = [
     "EngineResult",
     "run_experiment",
     "run_experiment_sequential",
-    "EXECUTION_MODES",
 ]
 
 _log = logging.getLogger(__name__)
-
-#: How a run evaluates its blocks.  ``auto`` (the default) prefers a
-#: scenario's sparse emitter and falls back to dense sampling with a
-#: per-block density check; ``sparse``/``dense`` force one path.  The
-#: mode is pure scheduling — every mode produces bit-identical results
-#: and shares one cache key.
-EXECUTION_MODES = ("auto", "sparse", "dense")
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_decoder(spec: EngineSpec):
-    """Per-process dense decoder cache (persistent-pool workers keep
-    their lookup tables warm across chunks, runs and experiment cells)."""
-    return make_decoder(spec)
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_packed_decoder(spec: EngineSpec):
-    """Per-process packed decoder cache; see :func:`_cached_decoder`."""
-    return make_packed_decoder(spec)
-
 
 @dataclass(frozen=True)
 class EngineResult:
@@ -136,47 +109,31 @@ class EngineResult:
         return self.tally.estimate(target=target, confidence=confidence)
 
 
-def _sample_sparse_block(spec: EngineSpec, model, seed: int, block: int, block_size: int):
-    """A block's :class:`SparseRowBatch` from the model's sparse emitter,
-    or ``None`` when the model (configuration) has no sparse path.
+def _sample_block(
+    spec: EngineSpec, model, seed: int, block: int, block_size: int, weighted: bool
+):
+    """A whole block's faults and (weighted models only) weights.
 
-    The emitter protocol mirrors dense sampling: ``sample_sparse_block``
-    gets the block's :class:`BlockStreams` handle, a plain
-    ``sample_sparse`` gets the root generator.  Emitters that decline
-    must do so before drawing, so a dense retry on a fresh block
-    generator sees the pristine stream.
+    The faults are the model's :class:`SparseRowBatch` when its sparse
+    emitter takes the configuration, else its dense mask batch.  Each
+    ``*_block`` method gets the block's :class:`BlockStreams` handle,
+    its plain twin the block's root generator — the identical stream for
+    single-population scenarios.  Emitters that decline return ``None``
+    before drawing, so the dense retry sees the pristine stream.
+    Weighted methods return ``(faults, weights)``.
     """
-    sparse_block = getattr(model, "sample_sparse_block", None)
-    if sparse_block is not None:
-        return sparse_block(BlockStreams(seed, block), block_size, spec)
-    sparse = getattr(model, "sample_sparse", None)
-    if sparse is not None:
-        return sparse(block_generator(seed, block), block_size, spec)
-    return None
-
-
-def _sample_weighted_sparse_block(
-    spec: EngineSpec, model, seed: int, block: int, block_size: int
-):
-    """Weighted twin of :func:`_sample_sparse_block`: the block's
-    ``(SparseRowBatch, weights)`` or ``None`` (decline before drawing)."""
-    sparse_block = getattr(model, "sample_weighted_sparse_block", None)
-    if sparse_block is not None:
-        return sparse_block(BlockStreams(seed, block), block_size, spec)
-    sparse = getattr(model, "sample_weighted_sparse", None)
-    if sparse is not None:
-        return sparse(block_generator(seed, block), block_size, spec)
-    return None
-
-
-def _sample_weighted_block(
-    spec: EngineSpec, model, seed: int, block: int, block_size: int
-):
-    """The block's dense ``(masks, weights)`` from a weighted model."""
-    dense_block = getattr(model, "sample_weighted_block", None)
-    if dense_block is not None:
-        return dense_block(BlockStreams(seed, block), block_size, spec)
-    return model.sample_weighted(block_generator(seed, block), block_size, spec)
+    family = "sample_weighted" if weighted else "sample"
+    for name in (family + "_sparse", family):
+        by_block = getattr(model, name + "_block", None)
+        if by_block is not None:
+            out = by_block(BlockStreams(seed, block), block_size, spec)
+        elif hasattr(model, name):
+            out = getattr(model, name)(block_generator(seed, block), block_size, spec)
+        else:
+            continue
+        if out is not None:
+            return out if weighted else (out, None)
+    raise TypeError(f"{type(model).__name__} has no {family} method")
 
 
 def _run_trial_range(
@@ -187,22 +144,13 @@ def _run_trial_range(
     first_trial: int,
     last_trial: int,
     collect_verdicts: bool,
-    execution: str = "auto",
 ) -> tuple[TrialCounts, "np.ndarray | None", "np.ndarray | None", "WeightedTally | None", dict]:
     """Evaluate trials ``[first_trial, last_trial)`` block by block.
 
     Samplers always draw for the whole block and slice, so any partition
-    of the trial space sees identical per-trial randomness.  Scenario
-    models sample through ``sample_block`` with the block's
-    :class:`BlockStreams` handle (multi-population scenarios draw each
-    population from its own lane); plain models with only a
-    ``sample(rng, count, spec)`` method get the block's root generator —
-    the identical stream either way for single-population scenarios.
-
-    ``execution`` picks dense or sparse/packed evaluation per block; the
-    verdicts are bit-identical either way (the sparse path is a lossless
-    restriction of the dense one to the dirty rows), so this is purely a
-    throughput knob, like the worker count.
+    of the trial space sees identical per-trial randomness.  Sparse and
+    dense samples alike become a :class:`PackedBlock` of the slice's
+    dirty rows, which :func:`run_packed` decodes.
 
     Models advertising ``weighted = True`` sample through the
     ``sample_weighted*`` family instead; each block's likelihood-ratio
@@ -211,90 +159,34 @@ def _run_trial_range(
     same partition-invariance as plain ones.
 
     The last return value is the shard's telemetry: wall-clock seconds,
-    per-block dispatch decisions, and the worker's resource deltas
-    (CPU seconds, RSS watermark, pid) — observational only; it reflects
-    scheduling, never influences it.
+    blocks, row slots and dirty (decoded) rows, and the worker's
+    resource deltas (CPU seconds, RSS watermark, pid) — observational
+    only; it never influences the run.
     """
     started = time.perf_counter()
     usage0 = process_usage()
     aggregator = StreamingAggregator()
     collected: list[np.ndarray] = []
     collected_weights: list[np.ndarray] = []
-    sample_block = getattr(model, "sample_block", None)
     weighted = bool(getattr(model, "weighted", False))
     # One tally PER BLOCK, never pre-summed: float addition is not
     # associative, so folding must happen once, flat, in block order at
     # the merge — otherwise the chunk size would leak into the last ulp
     # of the weighted sums and break cross-worker bit-identity.
     block_tallies: "list[WeightedTally] | None" = [] if weighted else None
-    stats = {
-        "trials": last_trial - first_trial,
-        "blocks": 0,
-        "sparse_blocks": 0,
-        "dense_blocks": 0,
-        "densified_blocks": 0,
-    }
+    stats = {"trials": last_trial - first_trial, "blocks": 0, "rows": 0, "dirty_rows": 0}
     for piece in iter_block_slices(first_trial, last_trial, block_size):
-        stats["blocks"] += 1
-        batch = None
-        masks = None
-        block_weights = None
-        if weighted:
-            if execution != "dense":
-                emitted = _sample_weighted_sparse_block(
-                    spec, model, seed, piece.block, block_size
-                )
-                if emitted is not None:
-                    batch, block_weights = emitted
-            if batch is None:
-                masks, block_weights = _sample_weighted_block(
-                    spec, model, seed, piece.block, block_size
-                )
-        elif execution != "dense":
-            batch = _sample_sparse_block(spec, model, seed, piece.block, block_size)
-        if batch is not None:
-            sub = batch.slice_trials(piece.start, piece.stop)
-            if (
-                execution == "auto"
-                and sub.dirty_row_fraction() > SPARSE_DISPATCH_BREAK_EVEN
-            ):
-                # A sparse-capable but dense-in-practice configuration
-                # (huge n_cells, array-spanning bursts): past the
-                # break-even the dense kernels win, and bit-identity
-                # makes the densify round-trip free of consequence.
-                stats["densified_blocks"] += 1
-                verdicts = run_recovery_batch(
-                    spec, sub.densify(), _cached_decoder(spec)
-                )
-            else:
-                stats["sparse_blocks"] += 1
-                verdicts = run_recovery_batch_sparse(
-                    spec, sub, _cached_packed_decoder(spec)
-                )
+        faults, block_weights = _sample_block(
+            spec, model, seed, piece.block, block_size, weighted
+        )
+        if isinstance(faults, SparseRowBatch):
+            block = PackedBlock.from_sparse(faults.slice_trials(piece.start, piece.stop))
         else:
-            if masks is None:
-                if sample_block is not None:
-                    masks = sample_block(
-                        BlockStreams(seed, piece.block), block_size, spec
-                    )
-                else:
-                    masks = model.sample(
-                        block_generator(seed, piece.block), block_size, spec
-                    )
-            sliced = masks[piece.start : piece.stop]
-            row_any = sliced.any(axis=-1) if execution != "dense" else None
-            if execution == "sparse" or (
-                execution == "auto"
-                and row_any.mean() <= SPARSE_DISPATCH_BREAK_EVEN
-            ):
-                stats["sparse_blocks"] += 1
-                sub = SparseRowBatch.from_masks(sliced, row_any)
-                verdicts = run_recovery_batch_sparse(
-                    spec, sub, _cached_packed_decoder(spec)
-                )
-            else:
-                stats["dense_blocks"] += 1
-                verdicts = run_recovery_batch(spec, sliced, _cached_decoder(spec))
+            block = PackedBlock.from_masks(faults[piece.start : piece.stop])
+        stats["blocks"] += 1
+        stats["rows"] += block.n_trials * spec.rows
+        stats["dirty_rows"] += len(block.rows)
+        verdicts = run_packed(spec, block)
         aggregator.update(verdicts)
         if weighted:
             piece_weights = np.asarray(
@@ -356,14 +248,13 @@ def _execute_ranges(
     block_size: int,
     ranges: "list[tuple[int, int]]",
     collect_verdicts: bool,
-    execution: str,
     executor: "SharedExecutor | None",
     n_workers: int,
     mp_context,
 ) -> list:
     """Fan the chunk ranges out and return their outcomes in chunk order."""
     payloads = [
-        (spec, model, seed, block_size, first, last, collect_verdicts, execution)
+        (spec, model, seed, block_size, first, last, collect_verdicts)
         for first, last in ranges
     ]
     with memory_phase("engine.run"):
@@ -426,7 +317,6 @@ def run_experiment(
     chunk_blocks: int = 1,
     collect_verdicts: bool = True,
     cache: "ResultCache | None" = None,
-    execution: str = "auto",
     executor: "SharedExecutor | None" = None,
     mp_context=None,
 ) -> EngineResult:
@@ -452,11 +342,6 @@ def run_experiment(
         Keep the per-trial verdict array (1 byte/trial) in the result.
     cache:
         Optional :class:`ResultCache`; hits skip the simulation.
-    execution:
-        Block evaluation strategy (:data:`EXECUTION_MODES`): ``auto``
-        dispatches sparsely when the scenario emits sparse batches or
-        the sampled blocks are mostly clean, ``sparse``/``dense`` force
-        a path.  Results and cache keys are identical across modes.
     executor:
         A persistent :class:`SharedExecutor` to fan out on (e.g. the
         one owned by a :class:`repro.api.Session`).  When omitted a
@@ -473,8 +358,6 @@ def run_experiment(
         raise ValueError("n_workers must be positive")
     if chunk_blocks < 1:
         raise ValueError("chunk_blocks must be positive")
-    if execution not in EXECUTION_MODES:
-        raise ValueError(f"execution must be one of {EXECUTION_MODES}")
 
     weighted = bool(getattr(model, "weighted", False))
     params = {
@@ -493,7 +376,6 @@ def run_experiment(
         key=key,
         n_trials=n_trials,
         block_size=block_size,
-        execution=execution,
         workers=executor.workers if executor is not None else n_workers,
     )
     if cache is not None:
@@ -525,7 +407,7 @@ def run_experiment(
     ranges = _chunk_ranges(0, n_trials, block_size, chunk_blocks)
     outcomes = _execute_ranges(
         spec, model, seed, block_size, ranges,
-        collect_verdicts, execution, executor, n_workers, mp_context,
+        collect_verdicts, executor, n_workers, mp_context,
     )
     elapsed = time.perf_counter() - started
 
@@ -704,7 +586,6 @@ def run_experiment_sequential(
     chunk_blocks: int = 1,
     collect_verdicts: bool = False,
     cache: "ResultCache | None" = None,
-    execution: str = "auto",
     executor: "SharedExecutor | None" = None,
     mp_context=None,
 ) -> EngineResult:
@@ -732,8 +613,6 @@ def run_experiment_sequential(
         raise ValueError("growth must be > 1")
     if target not in WEIGHTED_TARGETS:
         raise ValueError(f"target must be one of {WEIGHTED_TARGETS}, got {target!r}")
-    if execution not in EXECUTION_MODES:
-        raise ValueError(f"execution must be one of {EXECUTION_MODES}")
     if initial_trials is None:
         initial_trials = 4 * block_size
     if initial_trials < 1:
@@ -768,7 +647,6 @@ def run_experiment_sequential(
         n_trials=None,
         tolerance=tolerance,
         block_size=block_size,
-        execution=execution,
         workers=executor.workers if executor is not None else n_workers,
     )
     if cache is not None:
@@ -819,7 +697,7 @@ def run_experiment_sequential(
         ranges = _chunk_ranges(realized, goal, block_size, chunk_blocks)
         outcomes = _execute_ranges(
             spec, model, seed, block_size, ranges,
-            collect_verdicts, execution, executor, n_workers, mp_context,
+            collect_verdicts, executor, n_workers, mp_context,
         )
         round_counts, round_verdicts, round_weights, round_tallies = _merge_outcomes(
             outcomes, collect_verdicts, weighted

@@ -19,7 +19,7 @@ error, and trial budget flows to the strata where it buys the most:
     bit-identical to a shorter one), so piloting costs nothing.
 
 Every stratum runs through :func:`repro.engine.runner.run_experiment`
-with its own derived seed, inheriting sharding, sparse dispatch,
+with its own derived seed, inheriting sharding, the packed kernel,
 caching and worker/chunk bit-identity wholesale.
 """
 
@@ -146,7 +146,6 @@ def run_stratified(
     block_size: int = DEFAULT_BLOCK_SIZE,
     chunk_blocks: int = 1,
     cache=None,
-    execution: str = "auto",
     executor=None,
     mp_context=None,
 ) -> StratifiedEstimate:
@@ -178,7 +177,6 @@ def run_stratified(
         chunk_blocks=chunk_blocks,
         collect_verdicts=False,
         cache=cache,
-        execution=execution,
         executor=executor,
         mp_context=mp_context,
     )

@@ -8,10 +8,11 @@ timings), and fans every event out to subscribers.
 
 The recorder's :meth:`~RunRecorder.summary` is the serializable
 artifact: a JSON-pure digest of cache behavior, phase timings, engine
-shard/dispatch statistics and executor lifecycle that survives the
-``Result`` JSON round-trip as ``meta["telemetry"]``.  The full raw
-stream is available as JSON lines via :meth:`~RunRecorder.to_jsonl`
-(the CLI's ``--telemetry PATH``).
+shard statistics (blocks, row slots, decoded dirty rows) and executor
+lifecycle that survives the ``Result`` JSON round-trip as
+``meta["telemetry"]``.  The full raw stream is available as JSON
+lines via :meth:`~RunRecorder.to_jsonl` (the CLI's ``--telemetry
+PATH``).
 
 Subscribers are fault-isolated: a subscriber that raises is logged once
 (WARNING) and dropped for the rest of the run, so a broken progress
@@ -30,7 +31,7 @@ from typing import Any, Callable
 __all__ = ["TELEMETRY_SCHEMA_VERSION", "Counter", "Timer", "RunRecorder"]
 
 #: Bump when the summary layout changes incompatibly.
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 _log = logging.getLogger("repro.obs")
 
@@ -237,10 +238,6 @@ class RunRecorder:
                 for key in (e.get("keys") or {}).values()
             }
         )
-        dispatch = {
-            kind: sum(int(s.get(kind, 0)) for s in engine_shards)
-            for kind in ("sparse_blocks", "dense_blocks", "densified_blocks")
-        }
 
         def resources(shards: "list[dict]") -> dict:
             """Worker resource accounting aggregated across shard events
@@ -291,7 +288,10 @@ class RunRecorder:
                 "shard_seconds": round(
                     sum(float(s.get("elapsed", 0.0)) for s in engine_shards), 6
                 ),
-                "dispatch": dispatch,
+                # Row slots the shards covered and the dirty rows the
+                # kernel decoded among them.
+                "rows": sum(int(s.get("rows", 0)) for s in engine_shards),
+                "dirty_rows": sum(int(s.get("dirty_rows", 0)) for s in engine_shards),
                 "resources": resources(engine_shards),
                 "cache_keys": engine_keys,
             },

@@ -272,21 +272,33 @@ def bernoulli_masks(
     )
 
 
+#: Most bytes of uniform scores :func:`_draw_exact_cells` holds at once.
+_SCORE_CHUNK_BYTES = 16 << 20
+
+
 def _draw_exact_cells(
     rng: np.random.Generator, count: int, n_sites: int, n_cells: int
 ) -> "np.ndarray | None":
     """The one distinct-cell draw both mask and sparse emitters share.
 
     argpartition of one uniform draw per cell gives ``n_cells``
-    distinct uniform cells per trial in a single vectorized pass;
-    returns ``(count, n_cells)`` site indices (None when zero cells).
+    distinct uniform cells per trial; returns ``(count, n_cells)`` site
+    indices (None when zero cells).  Scores are drawn and partitioned a
+    few trials at a time: drawing the ``(count, n_sites)`` matrix in row
+    chunks consumes the stream exactly like one draw, and argpartition
+    works row by row, so the chunking bounds memory without changing
+    any index.
     """
     if n_cells > n_sites:
         raise ValueError("more faulty cells than array cells")
     if not n_cells:
         return None
-    scores = rng.random((count, n_sites))
-    return np.argpartition(scores, n_cells - 1, axis=1)[:, :n_cells]
+    per_chunk = max(1, _SCORE_CHUNK_BYTES // (8 * n_sites))
+    chosen = np.empty((count, n_cells), dtype=np.intp)
+    for lo in range(0, count, per_chunk):
+        scores = rng.random((min(per_chunk, count - lo), n_sites))
+        chosen[lo : lo + per_chunk] = np.argpartition(scores, n_cells - 1, axis=1)[:, :n_cells]
+    return chosen
 
 
 def exact_cells_masks(

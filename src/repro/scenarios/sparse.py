@@ -9,7 +9,7 @@ spend their cycles proving those zeros clean.
 
 :class:`SparseRowBatch` is the alternative interchange format between
 the fault-scenario emitters (:mod:`repro.scenarios.generators`) and the
-engine's sparse decode path (:mod:`repro.engine.packed`): the list of
+engine's packed kernel (:mod:`repro.engine.packed`): the list of
 *dirty* ``(trial, row)`` pairs plus one dense ``row_bits``-wide mask
 per pair.  Everything else is implicitly zero.  Because the linear
 codes decode an all-zero row as clean with no corrections, dropping
@@ -240,8 +240,3 @@ class SparseRowBatch:
         )
         masks[self.trial_idx, self.row_idx] = self.rows
         return masks
-
-    def dirty_row_fraction(self) -> float:
-        """Fraction of (trial, row) slots that carry any error."""
-        total = self.n_trials * self.array_rows
-        return self.n_pairs / total if total else 0.0

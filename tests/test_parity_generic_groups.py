@@ -5,8 +5,9 @@ branch, so it gets dedicated coverage here with scrambled group maps:
 an ``InterleavedParityCode`` whose bit→group assignment is a seeded
 random permutation of the modular layout.  The vectorized decoder must
 fall into its generic gather path and still agree word for word with
-the scalar ``code.decode`` — and with the packed decoder, whose masked
-popcount kernel is layout-agnostic by construction.
+the scalar ``code.decode`` — and with the byte-packed kernel, whose
+syndrome tables are built from ``code.group_of`` and so take any group
+map by construction.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.coding.base import CodeStatus
 from repro.coding.parity import InterleavedParityCode
+from repro.engine import EngineSpec, PackedBlock, run_recovery_batch
 from repro.engine.batch import ParityVectorDecoder
-from repro.engine.packed import PackedParityDecoder
+from repro.engine.packed import PackedDecoder, run_packed
 
 
 class ScrambledParityCode(InterleavedParityCode):
@@ -90,11 +92,32 @@ def test_generic_branch_matches_scalar_decoder(data_bits, interleave, degree):
 def test_generic_branch_matches_packed_decoder(data_bits, interleave, degree):
     code = ScrambledParityCode(data_bits, interleave, seed=7)
     dense = ParityVectorDecoder(code, degree)
-    packed = PackedParityDecoder(code, degree)
+    packed = PackedDecoder(code, degree)
     assert dense._pattern == "generic"
     rng = np.random.default_rng(5)
     masks = (rng.random((200, dense.row_bits)) < 0.05).astype(np.uint8)
-    assert np.array_equal(dense.decode(masks).faulty, packed.decode(masks).faulty)
+    faulty, residual = packed.decode(np.packbits(masks, axis=-1))
+    slots = (faulty[:, None] >> np.arange(degree, dtype=np.uint64)) & np.uint64(1)
+    assert np.array_equal(slots.astype(bool), dense.decode(masks).faulty)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.002, 0.01, 0.05]),
+       two_d=st.booleans())
+def test_generic_groups_kernel_verdicts_match_reference(seed, density, two_d):
+    """Whole-block verdicts of the kernel vs the uint8 reference path,
+    both decoding the scrambled group map."""
+    code = ScrambledParityCode(32, 4, seed=seed % 97)
+    degree = 2
+    spec = EngineSpec(rows=16, data_bits=32, interleave_degree=degree,
+                      horizontal_code="EDC4", vertical_groups=8 if two_d else None)
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((24, spec.rows, spec.row_bits)) < density).astype(np.uint8)
+    expected = run_recovery_batch(spec, masks, ParityVectorDecoder(code, degree))
+    got = run_packed(spec, PackedBlock.from_masks(masks), PackedDecoder(code, degree))
+    assert np.array_equal(got, expected)
 
 
 @settings(max_examples=60, deadline=None,

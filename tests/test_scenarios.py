@@ -43,6 +43,7 @@ from repro.scenarios import (
     make_scenario,
     scenario_from_config,
 )
+from repro.scenarios import generators
 
 SPEC = EngineSpec(
     rows=16, data_bits=16, interleave_degree=2,
@@ -193,6 +194,18 @@ class TestIidUniform:
     def test_both_knobs_rejected(self):
         with pytest.raises(ValueError, match="not both"):
             IidUniformScenario(n_cells=2, flip_probability=0.1)
+
+    def test_chunked_cell_draw_equals_one_shot(self, monkeypatch):
+        # Scores are drawn and partitioned a few trials at a time; the
+        # cells must be those of one (count, sites) draw and partition.
+        count, n_sites, n_cells = 37, 4096, 4
+        scores = np.random.default_rng(2024).random((count, n_sites))
+        one_shot = np.argpartition(scores, n_cells - 1, axis=1)[:, :n_cells]
+        monkeypatch.setattr(generators, "_SCORE_CHUNK_BYTES", 5 * 8 * n_sites)
+        chunked = generators._draw_exact_cells(
+            np.random.default_rng(2024), count, n_sites, n_cells
+        )
+        assert np.array_equal(chunked, one_shot)
 
     def test_key_distinguishes_modes(self):
         assert IidUniformScenario(n_cells=2).to_key()["model"] == "random_cells"
