@@ -17,9 +17,11 @@ Bands come from the checked-in ``benchmarks/tolerances.json``
 (``--tolerances`` overrides the file, ``--tolerance`` the default
 band).
 
-Exit status: 0 when nothing regressed beyond tolerance, 1 otherwise.
-CI runs this as a *gating* step; ``--no-fail`` is the escape hatch for
-pure report mode (exit 0 regardless), e.g. on known-noisy runners.
+Exit status: 0 when nothing regressed beyond tolerance and every
+baseline has a fresh record, 1 otherwise — a benchmark that stopped
+writing its record fails the gate instead of passing unjudged.  CI runs
+this as a *gating* step; ``--no-fail`` is the escape hatch for pure
+report mode (exit 0 regardless), e.g. on known-noisy runners.
 """
 
 from __future__ import annotations
@@ -36,11 +38,16 @@ except ImportError:  # running from a checkout without the package installed
 
 
 def _format(result: dict) -> "tuple[list[str], list[str]]":
-    """Render compare_records() output as (report lines, regression lines)."""
+    """Render compare_records() output as (report lines, failure lines).
+
+    A failure is a regression beyond its band or a baseline with no
+    fresh record.
+    """
     lines: "list[str]" = []
-    regressions: "list[str]" = []
-    for name in result["missing"]:
-        lines.append(f"{name}: no fresh record (benchmark not run?)")
+    regressions: "list[str]" = [
+        f"  MISSING {name}: no fresh record (benchmark not run?)"
+        for name in result["missing"]
+    ]
     for name in result["extra"]:
         lines.append(f"{name}: new benchmark, no baseline yet")
     judged = quiet = 0
@@ -132,7 +139,7 @@ def main(argv=None) -> int:
     for line in regressions:
         print(line)
     if regressions:
-        print(f"{len(regressions)} regression(s) beyond tolerance")
+        print(f"{len(regressions)} gate failure(s): regressions or missing records")
         return 0 if args.no_fail else 1
     print("no regressions beyond tolerance")
     return 0

@@ -182,11 +182,13 @@ class ExperimentContext:
         """Sequential (tolerance-stopped) engine run under session settings.
 
         Replaces the fixed trial count with a CI half-width target; see
-        :func:`repro.engine.run_experiment_sequential`.  The spec's
-        ``trials`` (or the experiment default) caps the realized count
-        when ``max_trials`` is not given explicitly — a tolerance the
-        configuration cannot reach then stops at the familiar budget
-        instead of running away.
+        :func:`repro.engine.run_experiment_sequential`.  When
+        ``max_trials`` is not given, the realized count is capped at
+        ``max(trials, 2**20)`` — the spec's ``trials`` (or the
+        experiment default) only ever raises the cap above ``2**20`` —
+        so a tolerance the configuration cannot reach stops there
+        instead of running away.  The cap is part of the stopping rule
+        and hence of the cache key.
         """
         from repro.engine import run_experiment_sequential
 

@@ -36,6 +36,7 @@ __all__ = [
     "wilson_interval",
     "half_width",
     "relative_half_width",
+    "variance_reduction_factor",
     "WEIGHTED_TARGETS",
 ]
 
@@ -87,6 +88,19 @@ def relative_half_width(point: float, lower: float, upper: float) -> float:
     if point == 0.0:
         return 0.0 if half == 0.0 else math.inf
     return half / abs(point)
+
+
+def variance_reduction_factor(point: float, std_error: float, n_trials: int) -> float:
+    """Plain-binomial variance at ``n_trials`` over the achieved variance.
+
+    How many plain Monte Carlo trials each trial of an estimator was
+    worth — the honest number the benchmarks gate on.  1.0 when either
+    variance is degenerate (zero error, a point at 0 or 1, no trials).
+    """
+    if std_error > 0 and 0.0 < point < 1.0 and n_trials > 0:
+        plain_variance = point * (1.0 - point) / n_trials
+        return plain_variance / (std_error * std_error)
+    return 1.0
 
 
 def wilson_interval(

@@ -48,11 +48,11 @@ import os
 import sys
 import threading
 from multiprocessing.context import BaseContext
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.obs import emit
 
-__all__ = ["SharedExecutor", "resolve_mp_context", "MP_CONTEXT_ENV"]
+__all__ = ["SharedExecutor", "executor_scope", "resolve_mp_context", "MP_CONTEXT_ENV"]
 
 _log = logging.getLogger(__name__)
 
@@ -225,3 +225,22 @@ class SharedExecutor:
             f"SharedExecutor(workers={self._workers}, "
             f"context={self.start_method!r}, {state})"
         )
+
+
+@contextlib.contextmanager
+def executor_scope(
+    executor: "SharedExecutor | None",
+    workers: int,
+    mp_context: "str | BaseContext | None" = None,
+) -> Iterator[SharedExecutor]:
+    """``executor`` itself, or a transient :class:`SharedExecutor` of
+    ``workers`` processes that is closed on exit.
+
+    A run enters this once around all of its fan-outs, so it starts at
+    most one transient pool however many rounds or chunks it maps.
+    """
+    if executor is not None:
+        yield executor
+        return
+    with SharedExecutor(workers=workers, mp_context=mp_context) as transient:
+        yield transient

@@ -37,6 +37,7 @@ __all__ = [
     "BlockStreams",
     "BlockSlice",
     "iter_block_slices",
+    "chunk_ranges",
     "n_blocks",
 ]
 
@@ -146,3 +147,21 @@ def iter_block_slices(
         stop = min(last_trial - block_start, block_size)
         yield BlockSlice(block=block, start=start, stop=stop)
         trial = block_start + stop
+
+
+def chunk_ranges(
+    first_trial: int, last_trial: int, block_size: int, chunk_blocks: int
+) -> list[tuple[int, int]]:
+    """Work items of ``chunk_blocks`` whole blocks covering
+    ``[first_trial, last_trial)``.
+
+    ``first_trial`` must sit on a block boundary, so no block is ever
+    split between two work items.
+    """
+    total_blocks = n_blocks(last_trial, block_size)
+    if first_trial % block_size:
+        raise ValueError("first_trial must be block-aligned")
+    return [
+        (first * block_size, min((first + chunk_blocks) * block_size, last_trial))
+        for first in range(first_trial // block_size, total_blocks, chunk_blocks)
+    ]

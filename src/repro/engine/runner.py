@@ -1,18 +1,22 @@
 """Sharded Monte Carlo executor: chunk trials, fan out, merge.
 
-:func:`run_experiment` is the engine's front door.  It splits the trial
-space into chunks of whole RNG blocks, evaluates them serially or across
-a persistent :class:`~repro.engine.executor.SharedExecutor` pool, and
-merges the per-chunk tallies.  Because every trial's randomness is keyed
-by its block (:mod:`repro.engine.rng`) and the merge is a commutative sum
-plus an order-restoring concatenation, **the result is bit-identical for
-any worker count, chunk size and executor** — parallelism is purely a
-throughput knob.  Every block, however it was sampled, is evaluated by
-the one byte-packed kernel of :mod:`repro.engine.packed`.
+:func:`run_experiment` and :func:`run_experiment_sequential` are the
+engine's front doors: thin, validated entry points over one round loop.
+A fixed-trial run is the single round ``[n_trials]`` with no stopping
+rule; a sequential run supplies geometric round goals and a tolerance
+rule.  Each round splits its new trials into chunks of whole RNG blocks,
+evaluates them serially or across one
+:class:`~repro.engine.executor.SharedExecutor` pool per run, and merges
+the per-chunk tallies.  Because every trial's randomness is keyed by its
+block (:mod:`repro.engine.rng`) and the merge is a commutative sum plus
+an order-restoring concatenation, **the result is bit-identical for any
+worker count, chunk size, executor and round schedule** — parallelism is
+purely a throughput knob.  Every block, however it was sampled, is
+evaluated by the one byte-packed kernel of :mod:`repro.engine.packed`.
 
 Results can be transparently memoized through
 :class:`repro.engine.cache.ResultCache`; repeated experiment runs with
-the same spec/model/trials/seed are then free.
+the same spec/model/trials/seed (or stopping rule) are then free.
 """
 
 from __future__ import annotations
@@ -36,15 +40,17 @@ from .aggregate import (
     WeightedEstimate,
     WeightedTally,
     relative_half_width,
+    variance_reduction_factor,
 )
 from .batch import EngineSpec
 from .cache import ENGINE_VERSION, ResultCache, cache_key
-from .executor import SharedExecutor
+from .executor import SharedExecutor, executor_scope
 from .packed import PackedBlock, run_packed
 from .rng import (
     DEFAULT_BLOCK_SIZE,
     BlockStreams,
     block_generator,
+    chunk_ranges,
     iter_block_slices,
     n_blocks,
 )
@@ -56,6 +62,16 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
+
+#: What a fixed-trial weighted run reports in its ``engine.estimator``
+#: event: the ``uncorrected`` rate at 95%, with no stopping fields.
+_FIXED_REPORT = {
+    "target": "uncorrected",
+    "confidence": 0.95,
+    "tolerance": None,
+    "relative": False,
+}
+
 
 @dataclass(frozen=True)
 class EngineResult:
@@ -144,7 +160,7 @@ def _run_trial_range(
     first_trial: int,
     last_trial: int,
     collect_verdicts: bool,
-) -> tuple[TrialCounts, "np.ndarray | None", "np.ndarray | None", "WeightedTally | None", dict]:
+) -> tuple[TrialCounts, list, list, "list[WeightedTally]", dict]:
     """Evaluate trials ``[first_trial, last_trial)`` block by block.
 
     Samplers always draw for the whole block and slice, so any partition
@@ -154,26 +170,28 @@ def _run_trial_range(
 
     Models advertising ``weighted = True`` sample through the
     ``sample_weighted*`` family instead; each block's likelihood-ratio
-    weights are sliced exactly like its trials and accumulated into a
-    :class:`WeightedTally` in block order, so weighted streams keep the
-    same partition-invariance as plain ones.
+    weights are sliced exactly like its trials and kept as one
+    :class:`WeightedTally` per block, so weighted streams keep the same
+    partition-invariance as plain ones.
 
-    The last return value is the shard's telemetry: wall-clock seconds,
-    blocks, row slots and dirty (decoded) rows, and the worker's
-    resource deltas (CPU seconds, RSS watermark, pid) — observational
-    only; it never influences the run.
+    Returns the counts, the per-block verdict and weight arrays (empty
+    lists when not collected), the per-block tallies (empty on plain
+    models) and the shard's telemetry: wall-clock seconds, blocks, row
+    slots and dirty (decoded) rows, and the worker's resource deltas
+    (CPU seconds, RSS watermark, pid) — observational only; it never
+    influences the run.
     """
     started = time.perf_counter()
     usage0 = process_usage()
     aggregator = StreamingAggregator()
-    collected: list[np.ndarray] = []
-    collected_weights: list[np.ndarray] = []
+    verdict_pieces: list[np.ndarray] = []
+    weight_pieces: list[np.ndarray] = []
     weighted = bool(getattr(model, "weighted", False))
     # One tally PER BLOCK, never pre-summed: float addition is not
-    # associative, so folding must happen once, flat, in block order at
-    # the merge — otherwise the chunk size would leak into the last ulp
-    # of the weighted sums and break cross-worker bit-identity.
-    block_tallies: "list[WeightedTally] | None" = [] if weighted else None
+    # associative, so folding must happen once, flat, in block order in
+    # the run loop — otherwise the chunk size would leak into the last
+    # ulp of the weighted sums and break cross-worker bit-identity.
+    block_tallies: list[WeightedTally] = []
     stats = {"trials": last_trial - first_trial, "blocks": 0, "rows": 0, "dirty_rows": 0}
     for piece in iter_block_slices(first_trial, last_trial, block_size):
         faults, block_weights = _sample_block(
@@ -188,122 +206,25 @@ def _run_trial_range(
         stats["dirty_rows"] += len(block.rows)
         verdicts = run_packed(spec, block)
         aggregator.update(verdicts)
+        if collect_verdicts:
+            verdict_pieces.append(verdicts)
         if weighted:
             piece_weights = np.asarray(
                 block_weights[piece.start : piece.stop], dtype=np.float64
             )
-            block_tallies.append(
-                WeightedTally.from_verdicts(verdicts, piece_weights)
-            )
+            block_tallies.append(WeightedTally.from_verdicts(verdicts, piece_weights))
             if collect_verdicts:
-                collected_weights.append(piece_weights)
-        if collect_verdicts:
-            collected.append(verdicts)
-    merged = np.concatenate(collected) if collected else None
-    if collect_verdicts and merged is None:
-        merged = np.zeros(0, dtype=np.uint8)
-    merged_weights = None
-    if collect_verdicts and weighted:
-        merged_weights = (
-            np.concatenate(collected_weights)
-            if collected_weights
-            else np.zeros(0, dtype=np.float64)
-        )
+                weight_pieces.append(piece_weights)
     stats["elapsed"] = round(time.perf_counter() - started, 6)
     usage = usage_delta(usage0)
     stats["pid"] = usage["pid"]
     stats["cpu_seconds"] = usage["cpu_seconds"]
     stats["max_rss_bytes"] = usage["max_rss_bytes"]
-    return aggregator.counts, merged, merged_weights, block_tallies, stats
+    return aggregator.counts, verdict_pieces, weight_pieces, block_tallies, stats
 
 
 def _worker(payload: tuple):
     return _run_trial_range(*payload)
-
-
-def _chunk_ranges(
-    first_trial: int, last_trial: int, block_size: int, chunk_blocks: int
-) -> list[tuple[int, int]]:
-    """Whole-block work items covering ``[first_trial, last_trial)``.
-
-    ``first_trial`` must sit on a block boundary (the sequential loop's
-    rounds always do; fixed-trial runs start at 0).
-    """
-    if first_trial % block_size:
-        raise ValueError("first_trial must be block-aligned")
-    first_block = first_trial // block_size
-    total_blocks = n_blocks(last_trial, block_size)
-    ranges = []
-    for chunk_first in range(first_block, total_blocks, chunk_blocks):
-        first = chunk_first * block_size
-        last = min((chunk_first + chunk_blocks) * block_size, last_trial)
-        ranges.append((first, last))
-    return ranges
-
-
-def _execute_ranges(
-    spec: EngineSpec,
-    model,
-    seed: int,
-    block_size: int,
-    ranges: "list[tuple[int, int]]",
-    collect_verdicts: bool,
-    executor: "SharedExecutor | None",
-    n_workers: int,
-    mp_context,
-) -> list:
-    """Fan the chunk ranges out and return their outcomes in chunk order."""
-    payloads = [
-        (spec, model, seed, block_size, first, last, collect_verdicts)
-        for first, last in ranges
-    ]
-    with memory_phase("engine.run"):
-        if executor is not None:
-            return executor.map(_worker, payloads)
-        with SharedExecutor(workers=n_workers, mp_context=mp_context) as transient:
-            return transient.map(_worker, payloads)
-
-
-def _emit_estimator(
-    *,
-    estimator: str,
-    target: str,
-    realized_trials: int,
-    point: float,
-    std_error: float,
-    half_width_value: float,
-    ess: float,
-    tolerance: "float | None" = None,
-    relative: bool = False,
-    rounds: "int | None" = None,
-) -> None:
-    """One ``engine.estimator`` telemetry event per estimator-aware run.
-
-    ``variance_reduction_factor`` compares the achieved variance against
-    what plain binomial sampling would deliver at the same trial count —
-    the honest "how many plain trials did this replace" number the
-    benchmarks gate on.
-    """
-    if std_error > 0 and 0.0 < point < 1.0 and realized_trials > 0:
-        plain_variance = point * (1.0 - point) / realized_trials
-        vrf = plain_variance / (std_error * std_error)
-    else:
-        vrf = 1.0
-    emit(
-        "engine.estimator",
-        logger=_log,
-        estimator=estimator,
-        target=target,
-        realized_trials=realized_trials,
-        point=point,
-        std_error=std_error,
-        half_width=half_width_value,
-        ess=ess,
-        variance_reduction_factor=vrf,
-        tolerance=tolerance,
-        relative=relative,
-        rounds=rounds,
-    )
 
 
 def run_experiment(
@@ -354,218 +275,13 @@ def run_experiment(
     """
     if n_trials < 0:
         raise ValueError("n_trials must be non-negative")
-    if n_workers < 1:
-        raise ValueError("n_workers must be positive")
-    if chunk_blocks < 1:
-        raise ValueError("chunk_blocks must be positive")
-
-    weighted = bool(getattr(model, "weighted", False))
-    params = {
-        "engine_version": ENGINE_VERSION,
-        "spec": spec.to_key(),
-        "model": model.to_key(),
-        "n_trials": n_trials,
-        "seed": seed,
-        "block_size": block_size,
-    }
-    key = cache_key(params)
-    emit(
-        "engine.run.start",
-        logger=_log,
-        level=logging.INFO,
-        key=key,
-        n_trials=n_trials,
-        block_size=block_size,
-        workers=executor.workers if executor is not None else n_workers,
-    )
-    if cache is not None:
-        payload = cache.load(key)
-        if payload is not None:
-            cached = _result_from_payload(
-                payload,
-                spec=spec,
-                n_trials=n_trials,
-                seed=seed,
-                block_size=block_size,
-                collect_verdicts=collect_verdicts,
-                weighted=weighted,
-            )
-            if cached is not None:
-                emit(
-                    "engine.run.finish",
-                    logger=_log,
-                    level=logging.INFO,
-                    key=key,
-                    n_trials=n_trials,
-                    from_cache=True,
-                    elapsed=0.0,
-                )
-                _maybe_emit_weighted(cached)
-                return cached
-
-    started = time.perf_counter()
-    ranges = _chunk_ranges(0, n_trials, block_size, chunk_blocks)
-    outcomes = _execute_ranges(
-        spec, model, seed, block_size, ranges,
-        collect_verdicts, executor, n_workers, mp_context,
-    )
-    elapsed = time.perf_counter() - started
-
-    counts, all_verdicts, all_weights, block_tallies = _merge_outcomes(
-        outcomes, collect_verdicts, weighted
-    )
-    tally = _fold_tallies(block_tallies) if weighted else None
-
-    result = EngineResult(
-        spec=spec,
-        counts=counts,
-        verdicts=all_verdicts,
-        n_trials=n_trials,
-        seed=seed,
-        block_size=block_size,
-        elapsed_seconds=elapsed,
-        from_cache=False,
-        tally=tally,
-        weights=all_weights,
-    )
-    emit(
-        "engine.run.finish",
-        logger=_log,
-        level=logging.INFO,
-        key=key,
-        n_trials=n_trials,
-        from_cache=False,
-        elapsed=round(elapsed, 6),
-        trials_per_second=round(result.trials_per_second, 3),
-    )
-    _maybe_emit_weighted(result)
-    if cache is not None:
-        cache.store(key, _payload_from_result(result), params)
-    return result
-
-
-def _fold_tallies(block_tallies: "list[WeightedTally]") -> WeightedTally:
-    """Fold per-block tallies sequentially in block order.
-
-    One flat left fold over blocks is the canonical summation order:
-    any partition of the same blocks into chunks, rounds or workers
-    reproduces it bit for bit, because the partials are never pre-summed
-    along the way.
-    """
-    total = WeightedTally()
-    for tally in block_tallies:
-        total = total + tally
-    return total
-
-
-def _merge_outcomes(
-    outcomes: list, collect_verdicts: bool, weighted: bool
-):
-    """Merge chunk outcomes in chunk (trial) order.
-
-    Count sums are commutative-exact; weighted tallies stay a flat
-    per-block list (in block order) so the caller's single fold is
-    independent of the chunking.
-    """
-    aggregator = StreamingAggregator()
-    block_tallies: "list[WeightedTally] | None" = [] if weighted else None
-    pieces: list[np.ndarray] = []
-    weight_pieces: list[np.ndarray] = []
-    for index, (counts, verdicts, weights, chunk_tallies, stats) in enumerate(outcomes):
-        emit("engine.shard", logger=_log, index=index, **stats)
-        aggregator.update(counts)
-        if weighted and chunk_tallies is not None:
-            block_tallies.extend(chunk_tallies)
-        if collect_verdicts and verdicts is not None:
-            pieces.append(verdicts)
-        if collect_verdicts and weights is not None:
-            weight_pieces.append(weights)
-    all_verdicts = (
-        np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
-    ) if collect_verdicts else None
-    all_weights = (
-        np.concatenate(weight_pieces)
-        if weight_pieces
-        else np.zeros(0, dtype=np.float64)
-    ) if (collect_verdicts and weighted) else None
-    return aggregator.counts, all_verdicts, all_weights, block_tallies
-
-
-def _payload_from_result(result: EngineResult) -> dict:
-    """The cache payload for a finished run.
-
-    Plain runs keep the historical layout byte for byte; weighted runs
-    append the tally vector (and per-trial weights when collected) so a
-    hit can reconstruct the Horvitz–Thompson estimate exactly.
-    """
-    payload = dict(result.counts.as_dict())
-    if result.verdicts is not None:
-        payload["verdicts"] = result.verdicts
-    if result.tally is not None:
-        payload["weighted_tally"] = result.tally.as_array()
-    if result.weights is not None:
-        payload["weights"] = result.weights
-    return payload
-
-
-def _result_from_payload(
-    payload: dict,
-    *,
-    spec: EngineSpec,
-    n_trials: int,
-    seed: int,
-    block_size: int,
-    collect_verdicts: bool,
-    weighted: bool,
-) -> "EngineResult | None":
-    """Rebuild an :class:`EngineResult` from a cache payload, or ``None``
-    when the entry predates what this run needs (missing verdicts or
-    missing weighted fields) and must be recomputed."""
-    verdicts = payload.get("verdicts")
-    if verdicts is not None:
-        verdicts = np.asarray(verdicts, dtype=np.uint8)
-    if verdicts is None and collect_verdicts:
-        return None
-    tally = None
-    weights = None
-    if weighted:
-        raw_tally = payload.get("weighted_tally")
-        if raw_tally is None:
-            return None
-        tally = WeightedTally.from_array(raw_tally)
-        weights = payload.get("weights")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-        if weights is None and collect_verdicts:
-            return None
-    return EngineResult(
-        spec=spec,
-        counts=TrialCounts.from_dict(payload),
-        verdicts=verdicts if collect_verdicts else None,
-        n_trials=n_trials,
-        seed=seed,
-        block_size=block_size,
-        elapsed_seconds=0.0,
-        from_cache=True,
-        tally=tally,
-        weights=weights if collect_verdicts else None,
-    )
-
-
-def _maybe_emit_weighted(result: EngineResult) -> None:
-    """Emit the ``engine.estimator`` event for a fixed-trial weighted run
-    (the sequential loop emits its own, with stopping fields)."""
-    if result.tally is None:
-        return
-    estimate = result.weighted_estimate(target="uncorrected")
-    _emit_estimator(
-        estimator="weighted",
-        target="uncorrected",
-        realized_trials=result.n_trials,
-        point=estimate.point,
-        std_error=estimate.std_error,
-        half_width_value=estimate.half_width,
-        ess=estimate.ess,
+    return _run_rounds(
+        spec, model, seed, [n_trials], None,
+        identity={"n_trials": n_trials},
+        start_fields={"n_trials": n_trials},
+        n_workers=n_workers, block_size=block_size, chunk_blocks=chunk_blocks,
+        collect_verdicts=collect_verdicts, cache=cache, executor=executor,
+        mp_context=mp_context,
     )
 
 
@@ -604,7 +320,8 @@ def run_experiment_sequential(
     trial stream (trials ``[0, n)`` of a longer run are bit-identical to
     a shorter one), so the realized trial count is a pure function of
     ``(spec, model, seed, block_size, stopping rule)`` — worker count,
-    chunking and executor cannot change it.  The result is cached under
+    chunking and executor cannot change it, and the result equals the
+    fixed-trial run of the realized count.  The result is cached under
     the stopping rule, not a trial count.
     """
     if tolerance <= 0:
@@ -619,8 +336,6 @@ def run_experiment_sequential(
         raise ValueError("initial_trials must be positive")
     if max_trials < initial_trials:
         raise ValueError("max_trials must be >= initial_trials")
-
-    weighted = bool(getattr(model, "weighted", False))
     stopping = {
         "tolerance": tolerance,
         "relative": relative,
@@ -630,13 +345,69 @@ def run_experiment_sequential(
         "growth": growth,
         "max_trials": max_trials,
     }
+    return _run_rounds(
+        spec, model, seed,
+        _round_goals(initial_trials, growth, max_trials, block_size), stopping,
+        identity={"sequential": stopping},
+        start_fields={"n_trials": None, "tolerance": tolerance},
+        n_workers=n_workers, block_size=block_size, chunk_blocks=chunk_blocks,
+        collect_verdicts=collect_verdicts, cache=cache, executor=executor,
+        mp_context=mp_context,
+    )
+
+
+def _round_goals(initial_trials: int, growth: float, max_trials: int, block_size: int):
+    """Cumulative trial goals of a sequential run's rounds: whole blocks,
+    ``initial_trials`` first, then ``growth`` times larger, capped at
+    ``max_trials``."""
+    goal = min(n_blocks(initial_trials, block_size) * block_size, max_trials)
+    while True:
+        yield goal
+        if goal >= max_trials:
+            return
+        goal = min(n_blocks(math.ceil(goal * growth), block_size) * block_size, max_trials)
+
+
+def _run_rounds(
+    spec: EngineSpec,
+    model,
+    seed: int,
+    goals,
+    stopping: "dict | None",
+    *,
+    identity: dict,
+    start_fields: dict,
+    n_workers: int,
+    block_size: int,
+    chunk_blocks: int,
+    collect_verdicts: bool,
+    cache: "ResultCache | None",
+    executor: "SharedExecutor | None",
+    mp_context,
+) -> EngineResult:
+    """The engine's one run loop.
+
+    ``goals`` are cumulative trial counts, one per round; after each
+    round the ``stopping`` rule (``None``: run every goal) may end the
+    run.  ``identity`` is what, besides the spec, model, seed and block
+    size, keys the cache entry: the trial count or the stopping rule.
+    This is the only code that looks up and stores cache entries, fans
+    chunks out, merges them, and emits the ``engine.run.*``,
+    ``engine.shard`` and ``engine.estimator`` events.  All rounds share
+    one executor, so a run starts at most one pool.
+    """
+    if n_workers < 1:
+        raise ValueError("n_workers must be positive")
+    if chunk_blocks < 1:
+        raise ValueError("chunk_blocks must be positive")
+    weighted = bool(getattr(model, "weighted", False))
     params = {
         "engine_version": ENGINE_VERSION,
         "spec": spec.to_key(),
         "model": model.to_key(),
         "seed": seed,
         "block_size": block_size,
-        "sequential": stopping,
+        **identity,
     }
     key = cache_key(params)
     emit(
@@ -644,166 +415,227 @@ def run_experiment_sequential(
         logger=_log,
         level=logging.INFO,
         key=key,
-        n_trials=None,
-        tolerance=tolerance,
+        **start_fields,
         block_size=block_size,
         workers=executor.workers if executor is not None else n_workers,
     )
-    if cache is not None:
-        payload = cache.load(key)
-        if payload is not None:
-            cached = _result_from_payload(
-                payload,
-                spec=spec,
-                n_trials=int(payload["n"]),
-                seed=seed,
-                block_size=block_size,
-                collect_verdicts=collect_verdicts,
-                weighted=weighted,
-            )
-            if cached is not None:
-                emit(
-                    "engine.run.finish",
-                    logger=_log,
-                    level=logging.INFO,
-                    key=key,
-                    n_trials=cached.n_trials,
-                    from_cache=True,
-                    elapsed=0.0,
-                )
-                _emit_sequential(cached, stopping, rounds=None)
-                return cached
-
-    def _round_targets():
-        goal = min(_round_up_blocks(initial_trials, block_size), max_trials)
-        while True:
-            yield goal
-            if goal >= max_trials:
-                return
-            goal = min(
-                _round_up_blocks(int(math.ceil(goal * growth)), block_size),
-                max_trials,
-            )
+    payload = cache.load(key) if cache is not None else None
+    if payload is not None:
+        cached = _result_from_payload(
+            payload,
+            spec=spec,
+            seed=seed,
+            block_size=block_size,
+            collect_verdicts=collect_verdicts,
+            weighted=weighted,
+        )
+        if cached is not None:
+            _emit_finish(key, cached)
+            _emit_estimator(cached, stopping, rounds=None)
+            return cached
 
     started = time.perf_counter()
-    counts = TrialCounts()
-    all_block_tallies: "list[WeightedTally] | None" = [] if weighted else None
+    aggregator = StreamingAggregator()
+    block_tallies: list[WeightedTally] = []
     tally = None
     verdict_pieces: list[np.ndarray] = []
     weight_pieces: list[np.ndarray] = []
-    realized = 0
-    rounds = 0
-    for goal in _round_targets():
-        ranges = _chunk_ranges(realized, goal, block_size, chunk_blocks)
-        outcomes = _execute_ranges(
-            spec, model, seed, block_size, ranges,
-            collect_verdicts, executor, n_workers, mp_context,
-        )
-        round_counts, round_verdicts, round_weights, round_tallies = _merge_outcomes(
-            outcomes, collect_verdicts, weighted
-        )
-        counts = counts + round_counts
-        if weighted:
-            # Re-fold the full flat block list each round: the running
-            # tally is then byte-identical to a fixed-trial run of the
-            # realized count, whatever the round boundaries were.
-            all_block_tallies.extend(round_tallies)
-            tally = _fold_tallies(all_block_tallies)
-        if collect_verdicts:
-            verdict_pieces.append(round_verdicts)
-            if round_weights is not None:
-                weight_pieces.append(round_weights)
-        realized = goal
-        rounds += 1
-        estimate = _sequential_estimate(counts, tally, target, confidence)
-        if _tolerance_met(estimate, tolerance, relative):
-            break
+    realized = rounds = shards = 0
+    with memory_phase("engine.run"), executor_scope(
+        executor, n_workers, mp_context
+    ) as pool:
+        for goal in goals:
+            payloads = [
+                (spec, model, seed, block_size, first, last, collect_verdicts)
+                for first, last in chunk_ranges(realized, goal, block_size, chunk_blocks)
+            ]
+            for counts, verdicts, weights, tallies, stats in pool.map(_worker, payloads):
+                emit("engine.shard", logger=_log, index=shards, **stats)
+                shards += 1
+                aggregator.update(counts)
+                verdict_pieces.extend(verdicts)
+                weight_pieces.extend(weights)
+                block_tallies.extend(tallies)
+            realized = goal
+            rounds += 1
+            if weighted:
+                # Re-fold the full flat block list each round: the
+                # running tally is then byte-identical to a fixed-trial
+                # run of the realized count, whatever the round
+                # boundaries were.
+                tally = _fold_tallies(block_tallies)
+            if stopping is not None and _tolerance_met(
+                _estimate(aggregator.counts, tally, stopping), stopping
+            ):
+                break
     elapsed = time.perf_counter() - started
-
-    all_verdicts = (
-        np.concatenate(verdict_pieces)
-        if verdict_pieces
-        else np.zeros(0, dtype=np.uint8)
-    ) if collect_verdicts else None
-    all_weights = (
-        np.concatenate(weight_pieces)
-        if weight_pieces
-        else np.zeros(0, dtype=np.float64)
-    ) if (collect_verdicts and weighted) else None
 
     result = EngineResult(
         spec=spec,
-        counts=counts,
-        verdicts=all_verdicts,
+        counts=aggregator.counts,
+        verdicts=_concat(verdict_pieces, np.uint8) if collect_verdicts else None,
         n_trials=realized,
         seed=seed,
         block_size=block_size,
         elapsed_seconds=elapsed,
         from_cache=False,
         tally=tally,
-        weights=all_weights,
+        weights=(
+            _concat(weight_pieces, np.float64)
+            if collect_verdicts and weighted
+            else None
+        ),
+    )
+    _emit_finish(key, result)
+    _emit_estimator(result, stopping, rounds=rounds if stopping is not None else None)
+    if cache is not None:
+        cache.store(key, _payload_from_result(result), params)
+    return result
+
+
+def _concat(pieces: "list[np.ndarray]", dtype) -> np.ndarray:
+    return np.concatenate(pieces) if pieces else np.zeros(0, dtype=dtype)
+
+
+def _fold_tallies(block_tallies: "list[WeightedTally]") -> WeightedTally:
+    """Fold per-block tallies sequentially in block order.
+
+    One flat left fold over blocks is the canonical summation order:
+    any partition of the same blocks into chunks, rounds or workers
+    reproduces it bit for bit, because the partials are never pre-summed
+    along the way.
+    """
+    total = WeightedTally()
+    for tally in block_tallies:
+        total = total + tally
+    return total
+
+
+def _estimate(counts: TrialCounts, tally: "WeightedTally | None", report: dict):
+    """The estimate a stopping rule inspects and ``engine.estimator``
+    reports: Horvitz–Thompson on weighted runs, Wilson otherwise."""
+    if tally is not None:
+        return tally.estimate(target=report["target"], confidence=report["confidence"])
+    return CoverageEstimate.from_binomial(
+        counts.target_count(report["target"]), counts.n, report["confidence"]
+    )
+
+
+def _tolerance_met(estimate, stopping: dict) -> bool:
+    if stopping["relative"]:
+        return (
+            relative_half_width(estimate.point, estimate.lower, estimate.upper)
+            <= stopping["tolerance"]
+        )
+    return estimate.half_width <= stopping["tolerance"]
+
+
+def _emit_finish(key: str, result: EngineResult) -> None:
+    fields = (
+        {} if result.from_cache
+        else {"trials_per_second": round(result.trials_per_second, 3)}
     )
     emit(
         "engine.run.finish",
         logger=_log,
         level=logging.INFO,
         key=key,
-        n_trials=realized,
-        from_cache=False,
-        elapsed=round(elapsed, 6),
-        trials_per_second=round(result.trials_per_second, 3),
-    )
-    _emit_sequential(result, stopping, rounds=rounds)
-    if cache is not None:
-        cache.store(key, _payload_from_result(result), params)
-    return result
-
-
-def _round_up_blocks(trials: int, block_size: int) -> int:
-    """Smallest whole-block trial count >= ``trials``."""
-    return n_blocks(trials, block_size) * block_size
-
-
-def _sequential_estimate(
-    counts: TrialCounts,
-    tally: "WeightedTally | None",
-    target: str,
-    confidence: float,
-):
-    """The running estimate the stopping rule inspects — exactly the
-    estimate the finished run will report."""
-    if tally is not None:
-        return tally.estimate(target=target, confidence=confidence)
-    return CoverageEstimate.from_binomial(
-        counts.target_count(target), counts.n, confidence
+        n_trials=result.n_trials,
+        from_cache=result.from_cache,
+        elapsed=round(result.elapsed_seconds, 6),
+        **fields,
     )
 
 
-def _tolerance_met(estimate, tolerance: float, relative: bool) -> bool:
-    if relative:
-        return (
-            relative_half_width(estimate.point, estimate.lower, estimate.upper)
-            <= tolerance
-        )
-    return estimate.half_width <= tolerance
-
-
-def _emit_sequential(
-    result: EngineResult, stopping: dict, rounds: "int | None"
+def _emit_estimator(
+    result: EngineResult, stopping: "dict | None", rounds: "int | None"
 ) -> None:
-    estimate = _sequential_estimate(
-        result.counts, result.tally, stopping["target"], stopping["confidence"]
-    )
-    ess = estimate.ess if result.tally is not None else float(result.n_trials)
-    _emit_estimator(
-        estimator="weighted" if result.tally is not None else "plain",
-        target=stopping["target"],
+    """One ``engine.estimator`` event per sequential or weighted run.
+
+    A sequential run reports its stopping target; a fixed-trial weighted
+    run reports :data:`_FIXED_REPORT`; a fixed-trial plain run emits
+    nothing.  ``variance_reduction_factor`` is the number the
+    benchmarks gate on.
+    """
+    report = stopping or (_FIXED_REPORT if result.is_weighted else None)
+    if report is None:
+        return
+    estimate = _estimate(result.counts, result.tally, report)
+    emit(
+        "engine.estimator",
+        logger=_log,
+        estimator="weighted" if result.is_weighted else "plain",
+        target=report["target"],
         realized_trials=result.n_trials,
         point=estimate.point,
         std_error=estimate.std_error,
-        half_width_value=estimate.half_width,
-        ess=ess,
-        tolerance=stopping["tolerance"],
-        relative=stopping["relative"],
+        half_width=estimate.half_width,
+        ess=estimate.ess if result.is_weighted else float(result.n_trials),
+        variance_reduction_factor=variance_reduction_factor(
+            estimate.point, estimate.std_error, result.n_trials
+        ),
+        tolerance=report["tolerance"],
+        relative=report["relative"],
         rounds=rounds,
+    )
+
+
+def _payload_from_result(result: EngineResult) -> dict:
+    """The cache payload for a finished run.
+
+    Plain runs keep the historical layout byte for byte; weighted runs
+    append the tally vector (and per-trial weights when collected) so a
+    hit can reconstruct the Horvitz–Thompson estimate exactly.
+    """
+    payload = dict(result.counts.as_dict())
+    if result.verdicts is not None:
+        payload["verdicts"] = result.verdicts
+    if result.tally is not None:
+        payload["weighted_tally"] = result.tally.as_array()
+    if result.weights is not None:
+        payload["weights"] = result.weights
+    return payload
+
+
+def _result_from_payload(
+    payload: dict,
+    *,
+    spec: EngineSpec,
+    seed: int,
+    block_size: int,
+    collect_verdicts: bool,
+    weighted: bool,
+) -> "EngineResult | None":
+    """Rebuild an :class:`EngineResult` from a cache payload, or ``None``
+    when the entry predates what this run needs (missing verdicts or
+    missing weighted fields) and must be recomputed."""
+    verdicts = payload.get("verdicts")
+    if verdicts is not None:
+        verdicts = np.asarray(verdicts, dtype=np.uint8)
+    if verdicts is None and collect_verdicts:
+        return None
+    tally = None
+    weights = None
+    if weighted:
+        raw_tally = payload.get("weighted_tally")
+        if raw_tally is None:
+            return None
+        tally = WeightedTally.from_array(raw_tally)
+        weights = payload.get("weights")
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+        if weights is None and collect_verdicts:
+            return None
+    counts = TrialCounts.from_dict(payload)
+    return EngineResult(
+        spec=spec,
+        counts=counts,
+        verdicts=verdicts if collect_verdicts else None,
+        n_trials=counts.n,
+        seed=seed,
+        block_size=block_size,
+        elapsed_seconds=0.0,
+        from_cache=True,
+        tally=tally,
+        weights=weights if collect_verdicts else None,
     )

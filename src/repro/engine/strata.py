@@ -35,6 +35,7 @@ from .aggregate import (
     WEIGHTED_TARGETS,
     CoverageEstimate,
     StratifiedEstimate,
+    variance_reduction_factor,
 )
 from .rng import DEFAULT_BLOCK_SIZE
 from .runner import run_experiment
@@ -253,11 +254,8 @@ def run_stratified(
         std_error=combined.std_error,
         half_width=combined.half_width,
         ess=float(realized),
-        variance_reduction_factor=(
-            (combined.point * (1.0 - combined.point) / realized)
-            / (combined.std_error**2)
-            if combined.std_error > 0 and 0.0 < combined.point < 1.0 and realized
-            else 1.0
+        variance_reduction_factor=variance_reduction_factor(
+            combined.point, combined.std_error, realized
         ),
         tolerance=None,
         relative=False,

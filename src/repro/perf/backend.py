@@ -39,8 +39,8 @@ from repro.obs import emit, memory_phase
 from repro.obs.profile import process_usage, usage_delta
 from repro.engine.aggregate import MeanEstimate
 from repro.engine.cache import ResultCache, cache_key
-from repro.engine.executor import SharedExecutor
-from repro.engine.rng import BlockStreams, iter_block_slices
+from repro.engine.executor import SharedExecutor, executor_scope
+from repro.engine.rng import BlockStreams, chunk_ranges, iter_block_slices, n_blocks
 from repro.workloads.profiles import WorkloadProfile
 
 from .arrivals import concat_arrivals, sample_arrivals
@@ -334,23 +334,6 @@ def _worker(payload: tuple) -> tuple[dict, dict]:
     return _run_trial_range(*payload)
 
 
-def _chunk_ranges(
-    n_trials: int, block_size: int, chunk_blocks: "int | None", n_workers: int
-) -> list:
-    total_blocks = -(-n_trials // block_size)
-    if chunk_blocks is None:
-        # Whole-run chunks in-process; one chunk per worker otherwise.
-        # Chunking cannot change results, so this is purely a throughput
-        # choice: bigger chunks amortize the per-call kernel overhead.
-        chunk_blocks = max(1, -(-total_blocks // n_workers))
-    ranges = []
-    for first_block in range(0, total_blocks, chunk_blocks):
-        first = first_block * block_size
-        last = min((first_block + chunk_blocks) * block_size, n_trials)
-        ranges.append((first, last))
-    return ranges
-
-
 def _cache_params(
     cmp_cfg, profile, protection, n_cycles, n_trials, seed, block_size
 ) -> dict:
@@ -449,19 +432,20 @@ def run_performance_grid(
     )
     if missing:
         started = time.perf_counter()
-        ranges = _chunk_ranges(n_trials, block_size, chunk_blocks, n_workers)
+        if chunk_blocks is None:
+            # Whole-run chunks in-process; one chunk per worker otherwise.
+            # Chunking cannot change results, so this is purely a throughput
+            # choice: bigger chunks amortize the per-call kernel overhead.
+            chunk_blocks = max(1, -(-n_blocks(n_trials, block_size) // n_workers))
+        ranges = chunk_ranges(0, n_trials, block_size, chunk_blocks)
         payloads = [
             (cmp_cfg, profile, missing, n_cycles, seed, block_size, first, last)
             for first, last in ranges
         ]
-        with memory_phase("perf.grid"):
-            if executor is not None:
-                outcomes = executor.map(_worker, payloads)
-            else:
-                with SharedExecutor(
-                    workers=n_workers, mp_context=mp_context
-                ) as transient:
-                    outcomes = transient.map(_worker, payloads)
+        with memory_phase("perf.grid"), executor_scope(
+            executor, n_workers, mp_context
+        ) as pool:
+            outcomes = pool.map(_worker, payloads)
         elapsed = time.perf_counter() - started
         for index, (_, stats) in enumerate(outcomes):
             emit("perf.shard", logger=_log, index=index, **stats)

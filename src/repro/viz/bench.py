@@ -191,7 +191,8 @@ def compare_records(
 
     Returns ``{"entries": [...], "missing": [...], "extra": [...],
     "regressions": [...]}`` — ``missing`` are baselines with no fresh
-    record, ``extra`` fresh records with no baseline (neither gates).
+    record (``benchmarks/compare.py`` fails the gate on them), ``extra``
+    fresh records with no baseline (never gating).
     """
     tolerances = tolerances or Tolerances()
     entries: "list[dict]" = []

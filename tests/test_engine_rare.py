@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.engine import (
     CoverageEstimate,
     EngineSpec,
+    ResultCache,
     StratifiedEstimate,
     Stratum,
     WeightedEstimate,
@@ -33,6 +34,7 @@ from repro.engine import (
     relative_half_width,
     wilson_interval,
 )
+from repro.obs import RunRecorder, use_recorder
 from repro.scenarios import (
     TiltedClusteredMbuScenario,
     TiltedHardFaultMapScenario,
@@ -186,6 +188,56 @@ class TestSequentialRunner:
             sequential.tally.as_array(), fixed.tally.as_array()
         )
 
+    def test_sequential_weighted_verdicts_match_fixed_run(self):
+        model = TiltedHardFaultMapScenario(defect_density=0.003, tilt=0.8)
+        sequential = run_experiment_sequential(
+            SPEC, model, 23, tolerance=0.05, block_size=32,
+            initial_trials=64, max_trials=1 << 12, collect_verdicts=True,
+        )
+        assert sequential.n_trials > 64  # stopped after more than one round
+        fixed = run_experiment(
+            SPEC, model, sequential.n_trials, 23, block_size=32
+        )
+        assert sequential.counts == fixed.counts
+        assert np.array_equal(sequential.verdicts, fixed.verdicts)
+        assert np.array_equal(sequential.weights, fixed.weights)
+        assert np.array_equal(
+            sequential.tally.as_array(), fixed.tally.as_array()
+        )
+
+    def test_one_transient_pool_per_run(self):
+        model = make_scenario("hard_fault_map", **self.MODEL_CFG)
+        recorder = RunRecorder()
+        with use_recorder(recorder):
+            result = run_experiment_sequential(
+                SPEC, model, 11, tolerance=0.01, block_size=32,
+                initial_trials=64, max_trials=1 << 13, n_workers=2,
+            )
+        assert result.n_trials == 4096
+        assert recorder.summary()["executor"]["pools_started"] == 1
+
+    def test_weighted_cache_hit_is_identical(self, tmp_path):
+        model = TiltedHardFaultMapScenario(defect_density=0.003, tilt=0.8)
+        cache = ResultCache(tmp_path)
+        kwargs = dict(
+            tolerance=0.05, block_size=32, initial_trials=64,
+            max_trials=1 << 12, collect_verdicts=True, cache=cache,
+        )
+        first = run_experiment_sequential(SPEC, model, 23, **kwargs)
+        recorder = RunRecorder()
+        with use_recorder(recorder):
+            second = run_experiment_sequential(SPEC, model, 23, **kwargs)
+        assert not first.from_cache and second.from_cache
+        assert second.n_trials == first.n_trials
+        assert second.counts == first.counts
+        assert np.array_equal(second.verdicts, first.verdicts)
+        assert np.array_equal(second.weights, first.weights)
+        assert np.array_equal(second.tally.as_array(), first.tally.as_array())
+        events = [e for e in recorder.events if e["event"] == "engine.estimator"]
+        assert len(events) == 1
+        assert events[0]["rounds"] is None
+        assert events[0]["estimator"] == "weighted"
+
     def test_relative_tolerance(self):
         model = make_scenario("hard_fault_map", **self.MODEL_CFG)
         result = run_experiment_sequential(
@@ -201,6 +253,43 @@ class TestSequentialRunner:
             run_experiment_sequential(SPEC, model, 1, tolerance=0.0)
         with pytest.raises(ValueError):
             run_experiment_sequential(SPEC, model, 1, tolerance=0.1, growth=1.0)
+
+
+class TestPinnedCacheKeys:
+    """Engine cache keys are literals: a drift in how a run builds its
+    key would orphan every cached entry, so it must fail loudly."""
+
+    MODEL = make_scenario("hard_fault_map", defect_density=0.003)
+
+    @staticmethod
+    def _run_and_key(run):
+        """The run's result and the key its ``engine.run.start`` names."""
+        recorder = RunRecorder()
+        with use_recorder(recorder):
+            result = run()
+        (start,) = [e for e in recorder.events if e["event"] == "engine.run.start"]
+        assert recorder.summary()["engine"]["cache_keys"] == [start["key"]]
+        return result, start["key"]
+
+    def test_fixed_run_key(self):
+        _, key = self._run_and_key(
+            lambda: run_experiment(SPEC, self.MODEL, 256, 11, block_size=32)
+        )
+        assert key == (
+            "f809a9c601aee996a872e55aae4b487dbd21c590cb0b6b48cd1b84f8e3d9323b"
+        )
+
+    def test_sequential_run_key(self):
+        result, key = self._run_and_key(
+            lambda: run_experiment_sequential(
+                SPEC, self.MODEL, 11, tolerance=0.05, block_size=32,
+                initial_trials=64, max_trials=1 << 14,
+            )
+        )
+        assert result.n_trials == 128
+        assert key == (
+            "da5f62f86eaaf6ee28da6da32b9d6bb1ca1c02baea2e9d9d4aaf047cb5f723b0"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,9 @@ from repro.engine import (
     FixedClusterModel,
     ResultCache,
     run_experiment,
+    run_experiment_sequential,
 )
+from repro.obs import RunRecorder, use_recorder
 
 SPEC = EngineSpec(
     rows=16, data_bits=16, interleave_degree=2,
@@ -29,6 +31,21 @@ def _run(**kwargs):
     defaults = dict(n_trials=120, seed=31, block_size=16)
     defaults.update(kwargs)
     return run_experiment(SPEC, MODEL, **defaults)
+
+
+#: Mixed verdicts (MODEL is always corrected), so verdict comparisons bite.
+MIXED_MODEL = ClusterErrorModel(
+    footprints=(((1, 1), 0.5), ((9, 9), 0.3), ((16, 16), 0.2))
+)
+
+
+def _run_sequential(**kwargs):
+    defaults = dict(
+        tolerance=0.05, block_size=16, initial_trials=32, max_trials=1 << 12,
+        collect_verdicts=True,
+    )
+    defaults.update(kwargs)
+    return run_experiment_sequential(SPEC, MIXED_MODEL, 31, **defaults)
 
 
 class TestSchedulingInvariance:
@@ -89,6 +106,17 @@ class TestResultPlumbing:
         assert result.verdicts is None
         assert result.counts.n == 120
 
+    def test_sequential_run_equals_fixed_run_of_realized_count(self):
+        sequential = _run_sequential(n_workers=2, chunk_blocks=3)
+        assert sequential.n_trials > 32  # stopped after more than one round
+        fixed = run_experiment(
+            SPEC, MIXED_MODEL, sequential.n_trials, 31, block_size=16
+        )
+        assert 0 < sequential.counts.corrected < sequential.n_trials
+        assert sequential.counts == fixed.counts
+        assert np.array_equal(sequential.verdicts, fixed.verdicts)
+        assert sequential.tally is None and sequential.weights is None
+
     def test_zero_trials(self):
         result = _run(n_trials=0)
         assert result.counts.n == 0
@@ -136,6 +164,22 @@ class TestResultCache:
         assert len(cache) == 1
         assert second.from_cache
         assert np.array_equal(second.verdicts, first.verdicts)
+
+    def test_sequential_second_run_hits_cache(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        first = _run_sequential(cache=cache)
+        recorder = RunRecorder()
+        with use_recorder(recorder):
+            second = _run_sequential(cache=cache)
+        assert len(cache) == 1
+        assert not first.from_cache and second.from_cache
+        assert second.n_trials == first.n_trials
+        assert second.counts == first.counts
+        assert np.array_equal(second.verdicts, first.verdicts)
+        events = [e for e in recorder.events if e["event"] == "engine.estimator"]
+        assert len(events) == 1
+        assert events[0]["rounds"] is None
+        assert events[0]["realized_trials"] == first.n_trials
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -259,6 +259,14 @@ class TestCompareGating:
         assert compare.main(self._argv(*dirs)) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_missing_fresh_record_fails(self, dirs, capsys):
+        baseline, fresh, tolerances = dirs
+        (fresh / "BENCH_engine.json").unlink()
+        compare = _load_compare_module()
+        assert compare.main(self._argv(*dirs)) == 1
+        assert "MISSING engine: no fresh record" in capsys.readouterr().out
+        assert compare.main(self._argv(*dirs, "--no-fail")) == 0
+
     def test_no_fail_escape_hatch(self, dirs, capsys):
         baseline, fresh, tolerances = dirs
         (fresh / "BENCH_engine.json").write_text(json.dumps(
