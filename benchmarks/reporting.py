@@ -9,9 +9,9 @@ Besides pretty-printing, :func:`write_bench` persists machine-readable
 measurements as ``BENCH_<name>.json`` so the performance trajectory is
 recorded run over run, not just asserted: each file carries the
 measured numbers plus provenance (a UTC timestamp, the git commit, the
-Python version and the harness's elapsed seconds — all ignored by the
-comparison loaders), and lands in ``$REPRO_BENCH_DIR`` (default: the
-current working directory).
+Python version, a host fingerprint and the harness's elapsed seconds —
+all ignored by the comparison loaders), and lands in
+``$REPRO_BENCH_DIR`` (default: the current working directory).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import subprocess
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 __all__ = ["print_series", "write_bench"]
 
@@ -49,6 +51,27 @@ def _git_commit() -> "str | None":
     return sha if out.returncode == 0 and sha else None
 
 
+def _cpu_model() -> str:
+    """The CPU model name from /proc/cpuinfo, else what platform knows."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _host() -> dict:
+    """The host fingerprint stamped on every record."""
+    return {
+        "cpu_model": _cpu_model(),
+        "nproc": os.cpu_count(),
+        "numpy": np.__version__,
+    }
+
+
 def print_series(title: str, series: dict) -> None:
     """Pretty-print one figure's data series under a heading."""
     print(f"\n=== {title} ===")
@@ -73,6 +96,8 @@ def write_bench(name: str, payload: dict) -> Path:
 
     ``payload`` must be JSON-representable; provenance fields are added
     (``recorded_at`` UTC timestamp, ``git_commit``, ``python_version``,
+    ``host`` — CPU model, logical CPU count and numpy version, so a
+    number can be told apart from the hardware it ran on — and
     ``elapsed_seconds`` since harness start — all in the loaders'
     ``SKIP_KEYS``, so they label trend points without being judged as
     metrics).  The target directory comes from the ``REPRO_BENCH_DIR``
@@ -86,6 +111,7 @@ def write_bench(name: str, payload: dict) -> Path:
     record["recorded_at"] = datetime.now(timezone.utc).isoformat()
     record["git_commit"] = _git_commit()
     record["python_version"] = platform.python_version()
+    record["host"] = _host()
     record["elapsed_seconds"] = round(time.perf_counter() - _T0, 3)
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return path

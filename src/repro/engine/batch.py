@@ -55,9 +55,11 @@ if TYPE_CHECKING:  # avoid a runtime repro.core <-> repro.engine cycle
     from repro.core.schemes import CodingScheme
 
 #: Historical engine model names, preserved as aliases of the scenario
-#: classes that now own the sampling logic (bit-exact, same draw
-#: streams, same ``to_key`` cache identities).  New code should reach
-#: for :func:`repro.scenarios.make_scenario` / the scenario classes.
+#: classes that now own the sampling logic (same draw streams and
+#: ``to_key`` cache identities, except ``RandomCellsModel``: its
+#: exact-count cells now come from the O(cells) draw-and-patch sampler
+#: under a new key).  New code should reach for
+#: :func:`repro.scenarios.make_scenario` / the scenario classes.
 ClusterErrorModel = ClusteredMbuScenario
 FixedClusterModel = FixedClusterScenario
 RandomCellsModel = IidUniformScenario

@@ -191,7 +191,7 @@ def make_scenario(name: str, **params: Any) -> ScenarioModel:
     cls = get_scenario_class(name)
     try:
         return cls(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid parameters for scenario {name!r}: {exc}") from None
 
 

@@ -32,8 +32,6 @@ __all__ = [
     "burst_masks",
     "burst_row_sparse",
     "bernoulli_masks",
-    "exact_cells_masks",
-    "exact_cells_sparse",
     "counted_cells_masks",
     "counted_cells_sparse",
     "poisson_defect_masks",
@@ -272,130 +270,79 @@ def bernoulli_masks(
     )
 
 
-#: Most bytes of uniform scores :func:`_draw_exact_cells` holds at once.
-_SCORE_CHUNK_BYTES = 16 << 20
-
-
-def _draw_exact_cells(
-    rng: np.random.Generator, count: int, n_sites: int, n_cells: int
-) -> "np.ndarray | None":
+def _draw_counted_cells(
+    rng: np.random.Generator, counts: np.ndarray, n_sites: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The one distinct-cell draw both mask and sparse emitters share.
 
-    argpartition of one uniform draw per cell gives ``n_cells``
-    distinct uniform cells per trial; returns ``(count, n_cells)`` site
-    indices (None when zero cells).  Scores are drawn and partitioned a
-    few trials at a time: drawing the ``(count, n_sites)`` matrix in row
-    chunks consumes the stream exactly like one draw, and argpartition
-    works row by row, so the chunking bounds memory without changing
-    any index.
+    Trial ``t`` gets ``counts[t]`` distinct uniform sites out of
+    ``n_sites``; returns parallel ``(trials, sites)`` arrays sorted by
+    trial, then site.
+
+    Sparse counts (the defect-map regime) draw site indices directly —
+    one ``(n_trials, kmax)`` draw — and patch the rare within-trial
+    collisions by redrawing each deficit trial's shortfall, in ascending
+    trial order, until every trial holds its count.  Collisions are
+    found on the sorted ``trial * n_sites + site`` keys, so the cost is
+    O(cells), not O(array).  The process treats every site alike and
+    always stops at exactly ``counts[t]`` cells, so the final set is a
+    uniform subset of that size.  Dense counts (``kmax > n_sites // 8``),
+    where collisions would dominate, rank one uniform score per cell
+    and keep each trial's smallest ``count`` instead.
     """
-    if n_cells > n_sites:
-        raise ValueError("more faulty cells than array cells")
-    if not n_cells:
-        return None
-    per_chunk = max(1, _SCORE_CHUNK_BYTES // (8 * n_sites))
-    chosen = np.empty((count, n_cells), dtype=np.intp)
-    for lo in range(0, count, per_chunk):
-        scores = rng.random((min(per_chunk, count - lo), n_sites))
-        chosen[lo : lo + per_chunk] = np.argpartition(scores, n_cells - 1, axis=1)[:, :n_cells]
-    return chosen
-
-
-def exact_cells_masks(
-    rng: np.random.Generator, count: int, rows: int, cols: int, n_cells: int
-) -> np.ndarray:
-    """Exactly ``n_cells`` distinct uniformly-placed cells per trial."""
-    n_sites = rows * cols
-    chosen = _draw_exact_cells(rng, count, n_sites, n_cells)
-    masks = np.zeros((count, n_sites), dtype=np.uint8)
-    if chosen is not None:
-        masks[np.arange(count)[:, None], chosen] = 1
-    return masks.reshape(count, rows, cols)
-
-
-def exact_cells_sparse(
-    rng: np.random.Generator, count: int, rows: int, cols: int, n_cells: int
-) -> SparseRowBatch:
-    """Sparse twin of :func:`exact_cells_masks` (shared draw helper).
-
-    The uniform score matrix is still drawn in full — that is what
-    keeps the cell placement bit-exact with the dense path — but the
-    mask tensor is never materialized and decode work downstream scales
-    with ``n_cells``, not with the array size.
-    """
-    chosen = _draw_exact_cells(rng, count, rows * cols, n_cells)
-    if chosen is None:
-        return SparseRowBatch.empty(count, rows, cols)
-    return SparseRowBatch.from_cells(
-        n_trials=count,
-        array_rows=rows,
-        row_bits=cols,
-        cell_trials=np.repeat(np.arange(count, dtype=np.int64), n_cells),
-        cell_sites=chosen.reshape(-1),
-    )
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts < 0).any() or (counts > n_sites).any():
+        raise ValueError("cell counts must be in [0, array cells]")
+    n_trials = counts.shape[0]
+    if n_trials == 0 or not counts.any():
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    kmax = int(counts.max())
+    if kmax > n_sites // 8:
+        scores = rng.random((n_trials, n_sites))
+        order = np.argsort(scores, axis=1)
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(n_sites)[None, :], axis=1)
+        trials, sites = np.nonzero(ranks < counts[:, None])
+        return trials.astype(np.int64, copy=False), sites.astype(np.int64, copy=False)
+    select = np.arange(kmax)[None, :] < counts[:, None]
+    draws = rng.integers(0, n_sites, size=(n_trials, kmax))
+    keys = np.unique((np.arange(n_trials)[:, None] * n_sites + draws)[select])
+    have = np.bincount(keys // n_sites, minlength=n_trials)
+    deficit_rows = np.nonzero(have < counts)[0]
+    while deficit_rows.size:
+        need = counts[deficit_rows] - have[deficit_rows]
+        extra = rng.integers(0, n_sites, size=(deficit_rows.size, int(need.max())))
+        take = np.arange(extra.shape[1])[None, :] < need[:, None]
+        patch = (deficit_rows[:, None] * n_sites + extra)[take]
+        keys = np.unique(np.concatenate([keys, patch]))
+        have = np.bincount(keys // n_sites, minlength=n_trials)
+        deficit_rows = deficit_rows[have[deficit_rows] < counts[deficit_rows]]
+    return keys // n_sites, keys % n_sites
 
 
 def counted_cells_masks(
     rng: np.random.Generator, counts: np.ndarray, rows: int, cols: int
 ) -> np.ndarray:
-    """Per-trial varying numbers of distinct uniformly-placed cells.
-
-    Generalizes :func:`exact_cells_masks` to a different cell count per
-    trial: the rank of each cell's uniform score is compared against the
-    trial's count, selecting exactly that many distinct uniform cells.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    n_sites = rows * cols
-    if (counts < 0).any() or (counts > n_sites).any():
-        raise ValueError("cell counts must be in [0, array cells]")
-    n_trials = counts.shape[0]
-    if n_trials == 0 or not counts.any():
-        return np.zeros((n_trials, rows, cols), dtype=np.uint8)
-    kmax = int(counts.max())
-    if kmax > n_sites // 8:
-        # Dense counts: rank one uniform score per cell and keep each
-        # trial's smallest `count` — a uniform subset of that size.
-        scores = rng.random((n_trials, n_sites))
-        order = np.argsort(scores, axis=1)
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(n_sites)[None, :], axis=1)
-        masks = (ranks < counts[:, None]).astype(np.uint8)
-        return masks.reshape(n_trials, rows, cols)
-    masks = np.zeros((n_trials, n_sites), dtype=np.uint8)
-    # Sparse counts (the defect-map regime): draw cell indices directly
-    # and patch the rare within-trial collisions by redrawing — far
-    # cheaper than scoring every cell of every trial.  Each accepted
-    # cell is uniform over the array, so the resulting distinct set is a
-    # uniform subset of the requested size.
-    select = np.arange(kmax)[None, :] < counts[:, None]
-    trial_idx = np.broadcast_to(np.arange(n_trials)[:, None], (n_trials, kmax))
-    draws = rng.integers(0, n_sites, size=(n_trials, kmax))
-    masks[trial_idx[select], draws[select]] = 1
-    deficit_rows = np.nonzero(masks.sum(axis=1) < counts)[0]
-    while deficit_rows.size:
-        need = counts[deficit_rows] - masks[deficit_rows].sum(axis=1)
-        extra = rng.integers(0, n_sites, size=(deficit_rows.size, int(need.max())))
-        take = np.arange(extra.shape[1])[None, :] < need[:, None]
-        row_idx = np.broadcast_to(
-            deficit_rows[:, None], extra.shape
-        )
-        masks[row_idx[take], extra[take]] = 1
-        still = masks[deficit_rows].sum(axis=1) < counts[deficit_rows]
-        deficit_rows = deficit_rows[still]
-    return masks.reshape(n_trials, rows, cols)
+    """Per-trial varying numbers of distinct uniformly-placed cells."""
+    trials, sites = _draw_counted_cells(rng, counts, rows * cols)
+    masks = np.zeros((len(counts), rows * cols), dtype=np.uint8)
+    masks[trials, sites] = 1
+    return masks.reshape(len(counts), rows, cols)
 
 
 def counted_cells_sparse(
     rng: np.random.Generator, counts: np.ndarray, rows: int, cols: int
 ) -> SparseRowBatch:
-    """Sparse view of :func:`counted_cells_masks` (identical draws).
-
-    The draw-and-patch sampler's redraw loop keys off the running dense
-    occupancy, so the dense masks are still built internally; the win
-    is everything downstream — the sparse batch carries only the dirty
-    rows into decode.
-    """
-    return SparseRowBatch.from_masks(counted_cells_masks(rng, counts, rows, cols))
+    """Sparse twin of :func:`counted_cells_masks` (shared draw helper):
+    the same cells, emitted as dirty rows without building the masks."""
+    trials, sites = _draw_counted_cells(rng, counts, rows * cols)
+    return SparseRowBatch.from_cells(
+        n_trials=len(counts),
+        array_rows=rows,
+        row_bits=cols,
+        cell_trials=trials,
+        cell_sites=sites,
+    )
 
 
 def _draw_poisson_counts(

@@ -8,8 +8,8 @@ Each scenario is a frozen, picklable dataclass registered by name (see
 ``iid_uniform``
     Spatially independent cell upsets — either exactly ``n_cells``
     distinct uniform cells per trial (the manufacture-time defect model
-    behind the Fig. 8(a) yield analysis; bit-exact with the engine's
-    historical ``RandomCellsModel``) or Bernoulli flips at
+    behind the Fig. 8(a) yield analysis, drawn in O(cells) by the same
+    draw-and-patch sampler as ``hard_fault_map``) or Bernoulli flips at
     ``flip_probability`` per cell.
 ``clustered_mbu``
     One single-event multi-bit upset per trial, footprint drawn from a
@@ -39,6 +39,7 @@ strike on a permanently faulty cell leaves the cell faulty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -48,8 +49,8 @@ from .generators import (
     bernoulli_masks,
     burst_masks,
     burst_row_sparse,
-    exact_cells_masks,
-    exact_cells_sparse,
+    counted_cells_masks,
+    counted_cells_sparse,
     mostly_single_bit_footprints,
     poisson_defect_masks,
     poisson_defect_sparse,
@@ -94,8 +95,7 @@ class IidUniformScenario(ScenarioBase):
     """Spatially independent uniform cell upsets.
 
     Exactly one of the two knobs is active: ``n_cells`` places that many
-    *distinct* uniform cells per trial (bit-exact twin of the engine's
-    original ``RandomCellsModel``, and the model behind the Fig. 8(a)
+    *distinct* uniform cells per trial (the model behind the Fig. 8(a)
     yield simulation), while ``flip_probability`` flips every cell
     independently.  With neither given, one cell per trial.
     """
@@ -108,14 +108,20 @@ class IidUniformScenario(ScenarioBase):
             raise ValueError("set n_cells or flip_probability, not both")
         if self.n_cells is None and self.flip_probability is None:
             object.__setattr__(self, "n_cells", 1)
-        if self.n_cells is not None and self.n_cells < 0:
-            raise ValueError("n_cells must be non-negative")
+        if self.n_cells is not None:
+            # A float or bool would otherwise be truncated to a cell count.
+            if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, Integral):
+                raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
+            if self.n_cells < 0:
+                raise ValueError("n_cells must be non-negative")
+            object.__setattr__(self, "n_cells", int(self.n_cells))
         if self.flip_probability is not None and not 0 <= self.flip_probability <= 1:
             raise ValueError("flip_probability must be in [0, 1]")
 
     def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
         if self.n_cells is not None:
-            return exact_cells_masks(rng, count, spec.rows, spec.row_bits, self.n_cells)
+            counts = np.full(count, self.n_cells, dtype=np.int64)
+            return counted_cells_masks(rng, counts, spec.rows, spec.row_bits)
         return bernoulli_masks(
             rng, count, spec.rows, spec.row_bits, self.flip_probability
         )
@@ -125,13 +131,15 @@ class IidUniformScenario(ScenarioBase):
         # the exact-count mode is reliably sparse.
         if self.n_cells is None:
             return None
-        return exact_cells_sparse(rng, count, spec.rows, spec.row_bits, self.n_cells)
+        counts = np.full(count, self.n_cells, dtype=np.int64)
+        return counted_cells_sparse(rng, counts, spec.rows, spec.row_bits)
 
     def to_key(self) -> dict:
-        # The exact-count mode keeps the original RandomCellsModel key so
-        # pre-scenario cached results stay addressable.
+        # The exact-count key names this sampler's draw, so entries cached
+        # under the older full-array score draw ({"model": "random_cells"})
+        # are never served for its cells.
         if self.n_cells is not None:
-            return {"model": "random_cells", "n_cells": self.n_cells}
+            return {"model": "iid_uniform", "n_cells": self.n_cells}
         return {"model": "iid_uniform", "flip_probability": self.flip_probability}
 
 

@@ -53,9 +53,10 @@ DEFAULT_TOLERANCE = 0.6
 
 #: Top-level keys never compared: bookkeeping/provenance, not
 #: measurements (``elapsed_seconds`` is numeric but describes the
-#: harness, not the benchmark).
+#: harness, and ``host.nproc`` the machine, not the benchmark).
 SKIP_KEYS = frozenset(
-    {"recorded_at", "workload", "git_commit", "python_version", "elapsed_seconds"}
+    {"recorded_at", "workload", "git_commit", "python_version", "host",
+     "elapsed_seconds"}
 )
 
 #: Key fragments that identify a metric's good direction.

@@ -291,6 +291,18 @@ class TestPinnedCacheKeys:
             "da5f62f86eaaf6ee28da6da32b9d6bb1ca1c02baea2e9d9d4aaf047cb5f723b0"
         )
 
+    def test_iid_uniform_exact_count_key(self):
+        # The key names the O(cells) draw, so entries cached under the
+        # older {"model": "random_cells"} key are never served for it.
+        model = make_scenario("iid_uniform", n_cells=3)
+        assert model.to_key() == {"model": "iid_uniform", "n_cells": 3}
+        _, key = self._run_and_key(
+            lambda: run_experiment(SPEC, model, 256, 11, block_size=32)
+        )
+        assert key == (
+            "8bd674385bf66690b0fda99477d1da1536f34c55b9da9c9a487b6da41e58ad4e"
+        )
+
 
 # ----------------------------------------------------------------------
 # stratification

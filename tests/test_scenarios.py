@@ -15,6 +15,8 @@ Covers the subsystem's contracts:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,6 +40,7 @@ from repro.scenarios import (
     FixedClusterScenario,
     HardFaultMapScenario,
     IidUniformScenario,
+    SparseRowBatch,
     UnknownScenarioError,
     list_scenarios,
     make_scenario,
@@ -195,23 +198,28 @@ class TestIidUniform:
         with pytest.raises(ValueError, match="not both"):
             IidUniformScenario(n_cells=2, flip_probability=0.1)
 
-    def test_chunked_cell_draw_equals_one_shot(self, monkeypatch):
-        # Scores are drawn and partitioned a few trials at a time; the
-        # cells must be those of one (count, sites) draw and partition.
-        count, n_sites, n_cells = 37, 4096, 4
-        scores = np.random.default_rng(2024).random((count, n_sites))
-        one_shot = np.argpartition(scores, n_cells - 1, axis=1)[:, :n_cells]
-        monkeypatch.setattr(generators, "_SCORE_CHUNK_BYTES", 5 * 8 * n_sites)
-        chunked = generators._draw_exact_cells(
-            np.random.default_rng(2024), count, n_sites, n_cells
-        )
-        assert np.array_equal(chunked, one_shot)
+    @pytest.mark.parametrize("n_cells", [2.5, 2.0, True, False, "2"])
+    def test_non_integer_cell_count_rejected(self, n_cells):
+        # Truncating to a cell count would silently run another model.
+        with pytest.raises(ValueError, match="n_cells must be an integer"):
+            IidUniformScenario(n_cells=n_cells)
+        with pytest.raises(
+            ValueError, match="invalid parameters for scenario 'iid_uniform'"
+        ):
+            make_scenario("iid_uniform", n_cells=n_cells)
+
+    def test_numpy_integer_cell_count_is_normalized(self):
+        model = IidUniformScenario(n_cells=np.int64(3))
+        assert type(model.n_cells) is int
+        assert model == IidUniformScenario(n_cells=3)
 
     def test_key_distinguishes_modes(self):
-        assert IidUniformScenario(n_cells=2).to_key()["model"] == "random_cells"
-        assert (
-            IidUniformScenario(flip_probability=0.1).to_key()["model"] == "iid_uniform"
-        )
+        assert IidUniformScenario(n_cells=2).to_key() == {
+            "model": "iid_uniform", "n_cells": 2,
+        }
+        assert IidUniformScenario(flip_probability=0.1).to_key() == {
+            "model": "iid_uniform", "flip_probability": 0.1,
+        }
 
 
 class TestClusteredMbu:
@@ -293,6 +301,92 @@ class TestHardFaultMap:
         assert masks.sum() == 0
 
 
+#: The Fig. 3 bank: 256 rows of four interleaved 72-bit EDC8 words.
+FIG3_BANK = EngineSpec(rows=256, data_bits=64, interleave_degree=4,
+                       horizontal_code="EDC8", vertical_groups=32)
+
+
+class _CountingRng:
+    """A generator proxy that counts ``integers`` calls (draw rounds)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.integer_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestCountedCells:
+    """The shared distinct-cell draw behind iid_uniform and hard-fault maps."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [np.random.default_rng(8).poisson(4.0, size=64), np.full(40, 30)],
+        ids=["poisson", "collision_heavy"],
+    )
+    def test_sparse_emitter_equals_sparsified_masks(self, counts):
+        masks = generators.counted_cells_masks(np.random.default_rng(5), counts, 8, 36)
+        batch = generators.counted_cells_sparse(np.random.default_rng(5), counts, 8, 36)
+        reference = SparseRowBatch.from_masks(masks)
+        assert np.array_equal(batch.trial_idx, reference.trial_idx)
+        assert np.array_equal(batch.row_idx, reference.row_idx)
+        assert np.array_equal(batch.rows, reference.rows)
+        assert np.array_equal(masks.sum(axis=(1, 2)), counts)
+
+    def test_collisions_are_patched_over_several_rounds(self):
+        # 30 cells out of 288 collide in most trials; the patch loop
+        # must redraw until every trial holds its count.
+        rng = _CountingRng(np.random.default_rng(5))
+        counts = np.full(40, 30)
+        trials, sites = generators._draw_counted_cells(rng, counts, 8 * 36)
+        assert rng.integer_calls >= 3
+        assert np.array_equal(np.bincount(trials, minlength=40), counts)
+        keys = trials * 288 + sites
+        assert np.array_equal(keys, np.unique(keys))
+
+    @pytest.mark.parametrize(
+        "model",
+        [IidUniformScenario(n_cells=4), HardFaultMapScenario(defect_density=1e-4)],
+        ids=["iid_uniform", "hard_fault_map"],
+    )
+    def test_sparse_sampling_memory_scales_with_faults(self, model):
+        # A dense (trials, rows * row_bits) intermediate would need
+        # 18 MiB or more here; the cells themselves take a few KiB.
+        model.sample_sparse(block_generator(1, 0), 256, FIG3_BANK)  # warm imports
+        tracemalloc.start()
+        try:
+            model.sample_sparse(block_generator(1, 0), 256, FIG3_BANK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize(
+        "name, params, expected",
+        [
+            ("hard_fault_map", {"defect_density": 1e-4},
+             {"corrected": 256, "detected": 255, "silent": 1}),
+            ("tilted_hard_fault_map", {"defect_density": 1e-4, "tilt": 1.0},
+             {"corrected": 11, "detected": 492, "silent": 9}),
+            ("fault_count_band", {"defect_density": 1e-4, "k_min": 10, "k_max": 20},
+             {"corrected": 75, "detected": 436, "silent": 1}),
+            ("composite", {},
+             {"corrected": 210, "detected": 301, "silent": 1}),
+        ],
+        ids=["hard_fault_map", "tilted_hard_fault_map", "fault_count_band", "composite"],
+    )
+    def test_hard_fault_verdicts_are_pinned(self, name, params, expected):
+        """Hard-fault populations keep their draw streams bit for bit:
+        the verdict counts are literals, so any change to how their
+        cells are drawn fails here."""
+        result = run_experiment(
+            FIG3_BANK, make_scenario(name, **params), 512, seed=7, block_size=128
+        )
+        assert result.counts.as_dict() == {"n": 512, **expected}
+
+
 class TestComposite:
     def test_union_of_populations(self):
         model = CompositeScenario(
@@ -342,8 +436,9 @@ class TestLegacyAliases:
         assert RandomCellsModel is IidUniformScenario
 
     def test_legacy_keys_unchanged(self):
-        """Pre-scenario cache entries must stay addressable."""
-        assert RandomCellsModel(7).to_key() == {"model": "random_cells", "n_cells": 7}
+        """Pre-scenario cache entries must stay addressable — except the
+        exact-count cell model's, whose key changed with its draw."""
+        assert RandomCellsModel(7).to_key() == {"model": "iid_uniform", "n_cells": 7}
         assert FixedClusterModel(2, 3).to_key() == {
             "model": "fixed_cluster", "height": 2, "width": 3,
         }

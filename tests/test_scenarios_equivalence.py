@@ -9,12 +9,13 @@ pin the two paths together from both directions:
   same-seeded injector produces the *same cells* the scenario mask
   marks;
 * **distribution-wise** — batched draws reproduce the scalar sampler's
-  footprint frequencies and uniform placement (hypothesis-driven, with
-  generous statistical tolerances);
+  footprint frequencies and uniform placement, and exact-count cell
+  draws are uniform distinct subsets (seeded chi-square checks against
+  exact laws and an argpartition reference sampler);
 * **experiment-level back-compat** — the scenario-threaded
-  ``fig3.coverage`` / ``fig8.yield`` Monte Carlo experiments hit the
-  same engine cache keys and produce the same Wilson intervals as the
-  pre-scenario implementations.
+  ``fig3.coverage`` Monte Carlo experiment hits the same engine cache
+  keys and produces the same Wilson intervals as the pre-scenario
+  implementation, and ``fig8.yield`` matches a direct engine run.
 """
 
 from __future__ import annotations
@@ -168,18 +169,65 @@ def test_batched_cluster_placement_is_uniform_like_scalar():
     assert (np.abs(rng_rows - expected_scalar) < 5 * np.sqrt(expected_scalar) + 10).all()
 
 
-def test_exact_cell_counts_match_scalar_model_bit_exactly():
-    """The iid_uniform exact-count mode must reproduce the engine's
-    historical RandomCellsModel stream (same scores draw, same cells)."""
-    rng = np.random.default_rng(11)
-    masks = make_scenario("iid_uniform", n_cells=6).sample(rng, 32, SPEC)
-    ref_rng = np.random.default_rng(11)
-    n_sites = SPEC.rows * SPEC.row_bits
-    scores = ref_rng.random((32, n_sites))
-    chosen = np.argpartition(scores, 5, axis=1)[:, :6]
-    ref = np.zeros((32, n_sites), dtype=np.uint8)
-    ref[np.arange(32)[:, None], chosen] = 1
-    assert np.array_equal(masks, ref.reshape(32, SPEC.rows, SPEC.row_bits))
+def _chi2_bound(df: int) -> float:
+    """A chi-square acceptance bound far out in the tail (about 5 sigma
+    of the normal approximation): seeded draws either pass it with room
+    to spare or the sampler is biased."""
+    return df + 5.0 * np.sqrt(2.0 * df)
+
+
+def _two_sample_chi2(a: np.ndarray, b: np.ndarray) -> "tuple[float, int]":
+    """Pearson chi-square that two integer samples share one law, over
+    the values both samples take often enough (pooled count >= 10)."""
+    values = np.union1d(a, b)
+    table = np.array([[np.sum(x == v) for v in values] for x in (a, b)], dtype=float)
+    table = table[:, table.sum(axis=0) >= 10]
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    return float(((table - expected) ** 2 / expected).sum()), table.shape[1] - 1
+
+
+def _argpartition_cells(rng: np.random.Generator, count: int, rows: int,
+                        cols: int, k: int) -> np.ndarray:
+    """The reference distinct-cell sampler: one uniform score per cell,
+    keep each trial's k smallest (obviously uniform over k-subsets)."""
+    chosen = np.argpartition(rng.random((count, rows * cols)), k - 1, axis=1)[:, :k]
+    masks = np.zeros((count, rows * cols), dtype=np.uint8)
+    masks[np.arange(count)[:, None], chosen] = 1
+    return masks.reshape(count, rows, cols)
+
+
+@pytest.mark.parametrize("k", [6, 150], ids=["sparse_counts", "dense_counts"])
+def test_exact_cell_counts_are_uniform_distinct_subsets(k):
+    """iid_uniform(n_cells=k) places a uniform k-subset of the cells in
+    every trial: exact distinct counts, flat row and column marginals,
+    the exact same-row pair rate (the statistic a row code sees), and
+    the same laws as the argpartition reference sampler."""
+    rows, cols, n = 24, 40, 4000
+    n_sites = rows * cols
+    masks = make_scenario("iid_uniform", n_cells=k).sample(
+        np.random.default_rng(2024), n, _Geometry(rows, cols)
+    )
+    reference = _argpartition_cells(np.random.default_rng(7), n, rows, cols, k)
+
+    assert (masks.sum(axis=(1, 2)) == k).all()
+
+    for marginal in (masks.sum(axis=(0, 2)), masks.sum(axis=(0, 1))):
+        expected = n * k / marginal.size
+        chi2 = float(((marginal - expected) ** 2 / expected).sum())
+        assert chi2 < _chi2_bound(marginal.size - 1)
+
+    per_row = masks.sum(axis=2).astype(np.int64)
+    same_row_pairs = (per_row * (per_row - 1) // 2).sum(axis=1)
+    exact = k * (k - 1) / 2 * (cols - 1) / (n_sites - 1)
+    stderr = same_row_pairs.std() / np.sqrt(n)
+    assert abs(same_row_pairs.mean() - exact) < 5 * stderr
+
+    for axis in (2, 1):  # most faults in one row, in one column
+        chi2, df = _two_sample_chi2(
+            masks.sum(axis=axis).max(axis=1), reference.sum(axis=axis).max(axis=1)
+        )
+        assert df >= 1
+        assert chi2 < _chi2_bound(df)
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +275,8 @@ class TestExperimentBackCompat:
         )
 
     def test_fig8_yield_default_scenario_matches_legacy_model(self):
-        """fig8.yield's iid_uniform default is the pre-scenario
-        RandomCellsModel run, verdict for verdict."""
+        """fig8.yield's iid_uniform default is the plain engine run of
+        the same exact-count model, verdict for verdict."""
         from repro.api import ExperimentSpec, Session
 
         result = Session().run(

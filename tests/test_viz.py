@@ -70,6 +70,7 @@ class TestBenchSemantics:
             "speedup": 3.0,
             "workload": "fig3",
             "recorded_at": "2026-01-01",
+            "host": {"cpu_model": "x", "nproc": 2, "numpy": "1.26.4"},
             "enabled": True,
             "label": "x",
             "nested": {"count": 4},
