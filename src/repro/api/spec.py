@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = ["ExperimentSpec", "SpecError", "content_hash", "freeze_params", "thaw_params"]
 
@@ -89,6 +90,15 @@ def freeze_params(value: Any) -> Any:
     result is order-insensitive for mappings, so equal specs hash
     equally no matter how their params were assembled.
     """
+    kind = type(value)
+    # Exact builtins first: the abstract Mapping check is slow, and spec
+    # params are almost always plain JSON values.
+    if kind is dict:
+        return FrozenDict(sorted((str(k), freeze_params(v)) for k, v in value.items()))
+    if kind is list or kind is tuple:
+        return tuple(freeze_params(v) for v in value)
+    if value is None or kind in (str, int, float, bool):
+        return value
     if isinstance(value, Mapping):
         return FrozenDict(sorted((str(k), freeze_params(v)) for k, v in value.items()))
     if isinstance(value, FrozenDict):

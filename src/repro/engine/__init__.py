@@ -58,7 +58,7 @@ from .batch import (
 from .cache import ResultCache, cache_key
 from .executor import SharedExecutor, resolve_mp_context
 from .oracle import scalar_trial_verdict, scalar_verdicts
-from .packed import PackedBlock, PackedDecoder, packed_decoder, run_packed
+from .packed import PackedDecoder, packed_decoder, run_packed
 from .rng import (
     DEFAULT_BLOCK_SIZE,
     BlockStreams,
@@ -100,7 +100,6 @@ __all__ = [
     "cache_key",
     "SharedExecutor",
     "resolve_mp_context",
-    "PackedBlock",
     "PackedDecoder",
     "packed_decoder",
     "run_packed",

@@ -18,6 +18,7 @@ estimates exactly (mixture mean, quadrature standard errors).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +50,10 @@ WEIGHTED_TARGETS = ("corrected", "detected", "silent", "uncorrected")
 _Z_TABLE = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 
 
+@functools.lru_cache(maxsize=128)
 def _z_score(confidence: float) -> float:
+    """Two-sided normal quantile; cached, since every interval asks
+    for one of a handful of confidences."""
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
     try:

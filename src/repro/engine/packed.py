@@ -3,15 +3,19 @@
 In the 2D scheme every decision the engine makes is a linear map over
 GF(2): the horizontal EDC/SECDED syndrome of each interleaved word, the
 vertical parity XOR across a row group, and the row rebuilt from that
-XOR.  This module evaluates all of them on **byte-packed dirty rows**.
+XOR.  This module evaluates the syndromes on **byte-packed dirty
+rows**; linearity also settles every row rebuild's verdict without
+computing the XOR (see :func:`_recover`).
 
-**Layout.**  A :class:`PackedBlock` lists only the rows that carry any
-error, as parallel ``(trial_idx, row_idx)`` arrays plus one
-``np.packbits`` row each: physical cell ``c`` is bit ``7 - c % 8`` of
-byte ``c // 8`` and the padding bits of the last byte are zero, so a
-288-cell row is 36 bytes.  A dense block is the same layout with every
-row listed.  Clean rows decode clean with no corrections and add
-nothing to a vertical group's XOR, so leaving them out is lossless.
+**Layout.**  A block arrives as a
+:class:`~repro.scenarios.sparse.SparseRowBatch`, which owns the packed
+row layout: only the rows that carry any error are listed, each as
+``ceil(row_bits / 8)`` bytes with physical cell ``c`` at bit
+``7 - c % 8`` of byte ``c // 8`` and zero padding, so a 288-cell row is
+36 bytes.  The scenario emitters write these bytes directly; the kernel
+never packs or unpacks a row.  Clean rows decode clean with no
+corrections and add nothing to a vertical group's XOR, so leaving them
+out is lossless.
 
 **Syndrome tables.**  Each interleave slot owns an ``f``-bit field of a
 ``uint64`` syndrome word: the ``n`` group parities of EDCn / byte
@@ -37,7 +41,6 @@ side by side.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,44 +51,13 @@ from repro.scenarios.sparse import SparseRowBatch
 
 from .batch import VERDICT_DETECTED, VERDICT_SILENT, EngineSpec, secded_probe
 
-__all__ = ["PackedBlock", "PackedDecoder", "packed_decoder", "run_packed"]
+__all__ = ["PackedDecoder", "packed_decoder", "run_packed"]
 
 _WORD_BITS = 64
 #: Action-table entries of a SECDED slot that is clean / faulty; any
 #: other entry is the physical cell the decoder flips.
 _CLEAN = -1
 _FAULTY = -2
-
-
-@dataclass(frozen=True)
-class PackedBlock:
-    """The dirty rows of a block of trials, byte-packed.
-
-    ``trial_idx``/``row_idx`` name each listed row; ``rows`` holds its
-    ``(n, row_bytes)`` packed error mask.  Trials with no listed row
-    are clean.
-    """
-
-    n_trials: int
-    trial_idx: np.ndarray
-    row_idx: np.ndarray
-    rows: np.ndarray
-
-    @classmethod
-    def from_sparse(cls, batch: SparseRowBatch) -> "PackedBlock":
-        return cls(
-            batch.n_trials,
-            batch.trial_idx,
-            batch.row_idx,
-            np.packbits(batch.rows, axis=-1),
-        )
-
-    @classmethod
-    def from_masks(cls, masks: np.ndarray) -> "PackedBlock":
-        """Pack a dense ``(trials, rows, row_bits)`` mask batch."""
-        packed = np.packbits(np.asarray(masks, dtype=np.uint8), axis=-1)
-        trial_idx, row_idx = np.nonzero(packed.any(axis=-1))
-        return cls(masks.shape[0], trial_idx, row_idx, packed[trial_idx, row_idx])
 
 
 def _byte_tables(cell_values: np.ndarray, combine) -> np.ndarray:
@@ -231,76 +203,72 @@ def packed_decoder(spec: EngineSpec) -> PackedDecoder:
 
 
 def run_packed(
-    spec: EngineSpec, block: PackedBlock, decoder: "PackedDecoder | None" = None
+    spec: EngineSpec, batch: SparseRowBatch, decoder: "PackedDecoder | None" = None
 ) -> np.ndarray:
     """Decode, recover and classify a block; ``(n_trials,)`` verdicts.
 
     The scrub, row-reconstruction and read-out sequence is that of
     :func:`repro.engine.batch.run_recovery_batch`, restricted to the
-    listed rows.  ``decoder`` defaults to :func:`packed_decoder`.
+    batch's listed rows.  ``decoder`` defaults to :func:`packed_decoder`.
     """
     if decoder is None:
         decoder = packed_decoder(spec)
-    if block.rows.ndim != 2 or block.rows.shape[1] != decoder.row_bytes:
+    if batch.row_bits != decoder.row_bits:
         raise ValueError(
-            f"packed rows of shape {block.rows.shape} do not match the spec's "
-            f"geometry ({decoder.row_bytes} bytes per row)"
+            f"rows of {batch.row_bits} cells do not match the spec's "
+            f"geometry ({decoder.row_bits} cells per row)"
         )
-    verdicts = np.zeros(block.n_trials, dtype=np.uint8)  # VERDICT_CORRECTED
-    if not block.rows.shape[0]:
+    verdicts = np.zeros(batch.n_trials, dtype=np.uint8)  # VERDICT_CORRECTED
+    if not batch.n_pairs:
         return verdicts
-    faulty, residual = decoder.decode(block.rows)
+    faulty, residual = decoder.decode(batch.rows)
     if spec.is_two_dimensional and faulty.any():
-        faulty, residual = _recover(spec, decoder, block, faulty, residual)
+        faulty, residual = _recover(spec, batch, faulty, residual)
 
     # Read-out: a word is silently wrong when its slot is not flagged
     # but a data bit of the residual is set; silent dominates detected.
     check = np.flatnonzero(residual.any(axis=1) & (faulty != decoder.all_slots))
     silent = check[(decoder.data_wrong(residual[check]) & ~faulty[check]) != 0]
-    verdicts[block.trial_idx[faulty != 0]] = VERDICT_DETECTED
-    verdicts[block.trial_idx[silent]] = VERDICT_SILENT
+    verdicts[batch.trial_idx[faulty != 0]] = VERDICT_DETECTED
+    verdicts[batch.trial_idx[silent]] = VERDICT_SILENT
     return verdicts
 
 
 def _recover(
     spec: EngineSpec,
-    decoder: PackedDecoder,
-    block: PackedBlock,
+    batch: SparseRowBatch,
     faulty: np.ndarray,
     content: np.ndarray,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Row reconstruction (Fig. 4(b) phase 2) over the listed rows.
 
-    ``faulty``/``content`` are the first decode of the block's rows;
-    returns the read-out's ``(faulty, residual)``.  No row is decoded a
-    third time: a word the decoder corrects has a zero syndrome
+    ``faulty``/``content`` are the first decode of the batch's rows;
+    returns the read-out's ``(faulty, residual)``.  The scrub (phase 1)
+    needs no work here: a word the decoder corrects has a zero syndrome
     afterwards (the flipped bit's syndrome column equals the syndrome),
-    so a scrubbed row and an installed rebuild read out exactly as their
-    last decode says — no faulty slot, the corrected content.  The scrub
-    (phase 1) therefore needs no work here, and one pass suffices (see
-    :func:`repro.engine.batch._recover_batch`).
+    so a scrubbed row reads out exactly as its first decode says.  One
+    pass suffices (see :func:`repro.engine.batch._recover_batch`).
+
+    A group with exactly one faulty row rebuilds it as the XOR of the
+    other members' content.  Those members are not faulty, so each has
+    a zero syndrome in every slot; by linearity so does the rebuild,
+    which therefore decodes clean and is always installed.  Its content
+    is then read out with no faulty slot, and a data bit it carries is
+    a data bit of some other member, which reads out silent itself.  The
+    trial's verdict is thus the same as if the rebuilt row were
+    all-zero — exactly the rebuild of a row that is the only listed row
+    of its group.  So every rebuilt row is cleared, with no group XOR
+    and no decode of a candidate row.
     """
     v = spec.vertical_groups
-    # A group with exactly one faulty row can rebuild it from the XOR of
-    # the other members' content (clean rows contribute zero).
-    key = block.trial_idx * v + block.row_idx % v
     faulty_rows = np.flatnonzero(faulty)
-    _, inverse, counts = np.unique(key[faulty_rows], return_inverse=True, return_counts=True)
-    targets = faulty_rows[counts[inverse] == 1]
-    if not targets.size:
+    key = batch.trial_idx[faulty_rows] * v + batch.row_idx[faulty_rows] % v
+    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    rebuilt = faulty_rows[counts[inverse] == 1]
+    if not rebuilt.size:
         return faulty, content
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    group_xor = np.bitwise_xor.reduceat(content[order], starts, axis=0)
-    group_of = np.searchsorted(sorted_keys[starts], key[targets])
-    candidate = group_xor[group_of] ^ content[targets]
-    candidate_faulty, repaired = decoder.decode(candidate)
-    # Only a rebuild whose every slot decodes clean-or-correctable is
-    # installed.
-    accepted = candidate_faulty == 0
     faulty = faulty.copy()
-    faulty[targets[accepted]] = 0
+    faulty[rebuilt] = 0
     residual = content.copy()
-    residual[targets[accepted]] = repaired[accepted]
+    residual[rebuilt] = 0
     return faulty, residual

@@ -45,7 +45,7 @@ from .aggregate import (
 from .batch import EngineSpec
 from .cache import ENGINE_VERSION, ResultCache, cache_key
 from .executor import SharedExecutor, executor_scope
-from .packed import PackedBlock, run_packed
+from .packed import run_packed
 from .rng import (
     DEFAULT_BLOCK_SIZE,
     BlockStreams,
@@ -164,9 +164,11 @@ def _run_trial_range(
     """Evaluate trials ``[first_trial, last_trial)`` block by block.
 
     Samplers always draw for the whole block and slice, so any partition
-    of the trial space sees identical per-trial randomness.  Sparse and
-    dense samples alike become a :class:`PackedBlock` of the slice's
-    dirty rows, which :func:`run_packed` decodes.
+    of the trial space sees identical per-trial randomness.  A sparse
+    sample is sliced as it is; a dense one (a model with no sparse
+    emitter for its configuration) is packed once by
+    :meth:`SparseRowBatch.from_masks`.  :func:`run_packed` decodes the
+    slice's packed dirty rows.
 
     Models advertising ``weighted = True`` sample through the
     ``sample_weighted*`` family instead; each block's likelihood-ratio
@@ -198,13 +200,13 @@ def _run_trial_range(
             spec, model, seed, piece.block, block_size, weighted
         )
         if isinstance(faults, SparseRowBatch):
-            block = PackedBlock.from_sparse(faults.slice_trials(piece.start, piece.stop))
+            batch = faults.slice_trials(piece.start, piece.stop)
         else:
-            block = PackedBlock.from_masks(faults[piece.start : piece.stop])
+            batch = SparseRowBatch.from_masks(faults[piece.start : piece.stop])
         stats["blocks"] += 1
-        stats["rows"] += block.n_trials * spec.rows
-        stats["dirty_rows"] += len(block.rows)
-        verdicts = run_packed(spec, block)
+        stats["rows"] += batch.n_trials * spec.rows
+        stats["dirty_rows"] += batch.n_pairs
+        verdicts = run_packed(spec, batch)
         aggregator.update(verdicts)
         if collect_verdicts:
             verdict_pieces.append(verdicts)

@@ -19,10 +19,11 @@ numbers surface* (:mod:`repro.api`):
   importance-sampling twins of the hard-fault and clustered models
   (``tilted_hard_fault_map``, ``tilted_clustered_mbu``) and the
   band-conditioned ``fault_count_band`` stratification model.
-* :mod:`repro.scenarios.sparse` — :class:`SparseRowBatch`, the dirty
-  rows-only interchange format scenarios may emit through
-  ``sample_sparse`` so the engine never materializes (or decodes) the
-  clean bulk of the mask tensor.
+* :mod:`repro.scenarios.sparse` — :class:`SparseRowBatch`, the engine's
+  one fault format: the dirty rows only, byte-packed.  Scenarios emit it
+  through ``sample_sparse``, building the packed bytes directly, so the
+  engine never materializes (or decodes) the clean bulk of the mask
+  tensor and never packs a row.
 
 Every registered scenario is reachable from the experiment catalog
 (``scenario="..."`` params on Monte Carlo experiments) and from the CLI

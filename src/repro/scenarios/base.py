@@ -110,14 +110,16 @@ class ScenarioBase:
     # ------------------------------------------------------------------
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
-        """Dirty rows only, as a :class:`~repro.scenarios.sparse.SparseRowBatch`.
+        """Dirty rows only, byte-packed, as a
+        :class:`~repro.scenarios.sparse.SparseRowBatch`.
 
-        Scenarios whose fault populations touch few rows override this
-        to let the engine skip decoding clean rows entirely.  The
-        contract is strict: the override must consume ``rng`` exactly
-        as :meth:`sample` does, and its densified output must equal the
-        dense masks bit for bit — the engine's sparse and dense paths
-        are interchangeable per block.
+        This is the engine's fast path: it decodes the batch's packed
+        rows as they are, skipping clean rows entirely, and packs a
+        dense :meth:`sample` (once) only for configurations that have
+        no override.  The contract is strict: the override must consume
+        ``rng`` exactly as :meth:`sample` does, and its densified output
+        must equal the dense masks bit for bit — the engine's sparse and
+        dense paths are interchangeable per block.
 
         Returning ``None`` (the default) means "no sparse emitter for
         this configuration"; the decision must depend only on the

@@ -13,7 +13,9 @@ scalar draw it replaced).
 
 All mask outputs are ``uint8`` 0/1 arrays in the error-mask domain of
 :mod:`repro.engine.batch`: a 1 means "this cell differs from its correct
-value".
+value".  Each ``*_sparse`` twin shares its mask emitter's draw and
+returns the same cells as a :class:`SparseRowBatch` of byte-packed
+dirty rows, built without a mask.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "spread_footprints",
     "place_bursts",
     "burst_masks",
-    "burst_row_sparse",
+    "burst_sparse",
     "bernoulli_masks",
     "counted_cells_masks",
     "counted_cells_sparse",
@@ -238,20 +240,35 @@ def burst_masks(
     return masks
 
 
-def burst_row_sparse(
-    rng: np.random.Generator, count: int, rows: int, cols: int, span: int
+def burst_sparse(
+    rng: np.random.Generator,
+    count: int,
+    rows: int,
+    cols: int,
+    span: int,
+    axis: str,
 ) -> SparseRowBatch:
-    """Sparse twin of ``burst_masks(axis="row")``: same placement draws,
-    dirty rows emitted directly (``span`` full rows per trial)."""
-    starts, spans = _draw_burst_extents(rng, count, rows, span)
+    """Sparse twin of :func:`burst_masks`: same placement draws, dirty
+    rows emitted directly — ``span`` full rows per trial on the row
+    axis, every row carrying the ``span``-column stripe on the column
+    axis."""
+    if axis not in ("row", "column"):
+        raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
+    n_lines = rows if axis == "row" else cols
+    starts, spans = _draw_burst_extents(rng, count, n_lines, span)
+    zeros = np.zeros(count, dtype=np.int64)
+    if axis == "row":
+        r0, heights, c0, widths = starts, spans, zeros, np.full(count, cols)
+    else:
+        r0, heights, c0, widths = zeros, np.full(count, rows), starts, spans
     return SparseRowBatch.from_row_spans(
         n_trials=count,
         array_rows=rows,
         row_bits=cols,
-        r0=starts,
-        heights=spans,
-        c0=np.zeros(count, dtype=np.int64),
-        widths=np.full(count, cols, dtype=np.int64),
+        r0=r0,
+        heights=heights,
+        c0=c0,
+        widths=widths,
     )
 
 

@@ -48,7 +48,7 @@ from .base import Geometry, ScenarioBase, scenario, scenario_from_config
 from .generators import (
     bernoulli_masks,
     burst_masks,
-    burst_row_sparse,
+    burst_sparse,
     counted_cells_masks,
     counted_cells_sparse,
     mostly_single_bit_footprints,
@@ -59,7 +59,6 @@ from .generators import (
     solid_cluster_sparse,
     spread_footprints,
 )
-from .sparse import SparseRowBatch
 
 if TYPE_CHECKING:  # the scalar distribution type; never imported at runtime
     from repro.errors.injector import FootprintDistribution
@@ -262,7 +261,7 @@ class BurstRowScenario(ScenarioBase):
         return burst_masks(rng, count, spec.rows, spec.row_bits, self.span, "row")
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
-        return burst_row_sparse(rng, count, spec.rows, spec.row_bits, self.span)
+        return burst_sparse(rng, count, spec.rows, spec.row_bits, self.span, "row")
 
     def to_key(self) -> dict:
         return {"model": "burst_row", "span": self.span}
@@ -281,6 +280,9 @@ class BurstColumnScenario(ScenarioBase):
 
     def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
         return burst_masks(rng, count, spec.rows, spec.row_bits, self.span, "column")
+
+    def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
+        return burst_sparse(rng, count, spec.rows, spec.row_bits, self.span, "column")
 
     def to_key(self) -> dict:
         return {"model": "burst_column", "span": self.span}

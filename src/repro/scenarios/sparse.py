@@ -1,4 +1,4 @@
-"""Sparse row-major fault batches: only the rows that carry errors.
+"""Sparse, byte-packed fault batches: only the rows that carry errors.
 
 At the error rates of the paper's headline figures (one clustered upset
 per trial in Fig. 3, a handful of defective cells per die in Fig. 8)
@@ -7,22 +7,30 @@ trial.  A dense ``(trials, rows, row_bits)`` mask batch spends its
 memory bandwidth almost entirely on zeros; the decode kernels then
 spend their cycles proving those zeros clean.
 
-:class:`SparseRowBatch` is the alternative interchange format between
-the fault-scenario emitters (:mod:`repro.scenarios.generators`) and the
-engine's packed kernel (:mod:`repro.engine.packed`): the list of
-*dirty* ``(trial, row)`` pairs plus one dense ``row_bits``-wide mask
-per pair.  Everything else is implicitly zero.  Because the linear
-codes decode an all-zero row as clean with no corrections, dropping
-clean rows is *lossless*: verdicts computed from a sparse batch are
-bit-identical to verdicts computed from its densified twin.
+:class:`SparseRowBatch` is the one fault interchange format between the
+scenario emitters (:mod:`repro.scenarios.generators`) and the engine's
+byte-packed kernel (:mod:`repro.engine.packed`): the list of *dirty*
+``(trial, row)`` pairs plus one byte-packed error row per pair.
+Everything else is implicitly zero.  Because the linear codes decode an
+all-zero row as clean with no corrections, dropping clean rows is
+*lossless*: verdicts computed from a sparse batch are bit-identical to
+verdicts computed from its densified twin.
+
+**Layout.**  Physical cell ``c`` of a row is bit ``7 - c % 8`` of byte
+``c // 8`` (the order of ``np.packbits``) and the padding bits of the
+last byte are zero, so a 288-cell row is 36 bytes.  The emitters build
+these bytes directly — spans by byte arithmetic, single cells by OR-ing
+one bit into their byte — so no ``uint8``-per-cell row exists between
+a scenario draw and its verdict.  Only a dense mask batch
+(:meth:`SparseRowBatch.from_masks`) is packed, once.
 
 The invariants every constructor here maintains (and the engine relies
 on):
 
 * ``(trial_idx, row_idx)`` pairs are unique and sorted
   lexicographically (trial-major, row-minor);
-* ``rows[i]`` is the complete error mask of that physical row (cells
-  from *all* fault populations OR'd together);
+* ``rows[i]`` is the complete packed error row of that physical row
+  (cells from *all* fault populations OR'd together);
 * ``n_trials`` covers trials with no dirty rows at all — they simply
   have no pairs.
 """
@@ -36,6 +44,10 @@ import numpy as np
 __all__ = ["SparseRowBatch"]
 
 
+def _row_bytes(row_bits: int) -> int:
+    return -(-row_bits // 8)
+
+
 @dataclass(frozen=True)
 class SparseRowBatch:
     """Dirty rows of a ``(n_trials, array_rows, row_bits)`` mask batch.
@@ -46,15 +58,19 @@ class SparseRowBatch:
         Trials covered by the batch, including all-clean ones.
     array_rows:
         Physical data rows per trial (the dense tensor's middle axis).
+    row_bits:
+        Cells per physical row (the dense tensor's last axis).
     trial_idx, row_idx:
         Parallel ``(n_pairs,)`` arrays naming the dirty rows, sorted by
         ``(trial, row)`` with no duplicate pairs.
     rows:
-        ``(n_pairs, row_bits)`` uint8 error masks, one per dirty row.
+        ``(n_pairs, ceil(row_bits / 8))`` uint8 packed error rows, one
+        per dirty row, in the layout of the module docstring.
     """
 
     n_trials: int
     array_rows: int
+    row_bits: int
     trial_idx: np.ndarray
     row_idx: np.ndarray
     rows: np.ndarray
@@ -62,10 +78,6 @@ class SparseRowBatch:
     @property
     def n_pairs(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def row_bits(self) -> int:
-        return self.rows.shape[1]
 
     # ------------------------------------------------------------------
     # constructors
@@ -76,32 +88,28 @@ class SparseRowBatch:
         return cls(
             n_trials=n_trials,
             array_rows=array_rows,
+            row_bits=row_bits,
             trial_idx=np.zeros(0, dtype=np.int64),
             row_idx=np.zeros(0, dtype=np.int64),
-            rows=np.zeros((0, row_bits), dtype=np.uint8),
+            rows=np.zeros((0, _row_bytes(row_bits)), dtype=np.uint8),
         )
 
     @classmethod
-    def from_masks(
-        cls, masks: np.ndarray, row_any: "np.ndarray | None" = None
-    ) -> "SparseRowBatch":
-        """Sparsify a dense ``(trials, rows, row_bits)`` mask batch.
-
-        ``row_any`` may pass a precomputed ``masks.any(axis=-1)`` so a
-        caller that already screened row occupancy does not pay twice.
-        """
+    def from_masks(cls, masks: np.ndarray) -> "SparseRowBatch":
+        """Sparsify and pack a dense ``(trials, rows, row_bits)`` 0/1
+        mask batch."""
         masks = np.asarray(masks, dtype=np.uint8)
         if masks.ndim != 3:
             raise ValueError(f"masks must be 3-D, got shape {masks.shape}")
-        if row_any is None:
-            row_any = masks.any(axis=-1)
-        trial_idx, row_idx = np.nonzero(row_any)  # lexicographic order
+        packed = np.packbits(masks, axis=-1)
+        trial_idx, row_idx = np.nonzero(packed.any(axis=-1))  # lexicographic order
         return cls(
             n_trials=masks.shape[0],
             array_rows=masks.shape[1],
+            row_bits=masks.shape[2],
             trial_idx=trial_idx.astype(np.int64, copy=False),
             row_idx=row_idx.astype(np.int64, copy=False),
-            rows=masks[trial_idx, row_idx],
+            rows=packed[trial_idx, row_idx],
         )
 
     @classmethod
@@ -121,6 +129,7 @@ class SparseRowBatch:
         with columns ``c0[t] .. c0[t]+widths[t]-1`` set — the sparse
         twin of :func:`repro.scenarios.generators.solid_cluster_masks`.
         Zero-height or zero-width rectangles contribute no pairs.
+        Columns must lie inside the row (``c0 + widths <= row_bits``).
         """
         r0 = np.asarray(r0, dtype=np.int64)
         heights = np.asarray(heights, dtype=np.int64)
@@ -135,16 +144,19 @@ class SparseRowBatch:
         run_starts = np.cumsum(heights) - heights
         within = np.arange(total, dtype=np.int64) - np.repeat(run_starts, heights)
         row_idx = np.repeat(r0, heights) + within
-        col_idx = np.arange(row_bits)
-        lo = np.repeat(c0, heights)[:, None]
-        hi = lo + np.repeat(widths, heights)[:, None]
-        rows = ((col_idx >= lo) & (col_idx < hi)).astype(np.uint8)
+        # Byte j holds cells 8j .. 8j+7; the span covers its bit offsets
+        # [lo, hi), i.e. the bits (0xFF >> lo) minus the bits (0xFF >> hi).
+        offsets = 8 * np.arange(_row_bytes(row_bits), dtype=np.int64)
+        lo = np.clip(c0[:, None] - offsets, 0, 8)
+        hi = np.clip((c0 + widths)[:, None] - offsets, 0, 8)
+        pattern = ((0xFF >> lo) & ~(0xFF >> hi)).astype(np.uint8)
         return cls(
             n_trials=n_trials,
             array_rows=array_rows,
+            row_bits=row_bits,
             trial_idx=trial_idx,
             row_idx=row_idx,
-            rows=rows,
+            rows=np.repeat(pattern, heights, axis=0),
         )
 
     @classmethod
@@ -166,15 +178,19 @@ class SparseRowBatch:
         cell_sites = np.asarray(cell_sites, dtype=np.int64)
         if cell_trials.size == 0:
             return cls.empty(n_trials, array_rows, row_bits)
-        cell_rows = cell_sites // row_bits
-        cell_cols = cell_sites % row_bits
+        cell_rows, cell_cols = np.divmod(cell_sites, row_bits)
         keys = cell_trials * array_rows + cell_rows
         pair_keys, pair_of_cell = np.unique(keys, return_inverse=True)
-        rows = np.zeros((pair_keys.shape[0], row_bits), dtype=np.uint8)
-        rows[pair_of_cell, cell_cols] = 1
+        rows = np.zeros((pair_keys.shape[0], _row_bytes(row_bits)), dtype=np.uint8)
+        np.bitwise_or.at(
+            rows,
+            (pair_of_cell, cell_cols >> 3),
+            (0x80 >> (cell_cols & 7)).astype(np.uint8),
+        )
         return cls(
             n_trials=n_trials,
             array_rows=array_rows,
+            row_bits=row_bits,
             trial_idx=pair_keys // array_rows,
             row_idx=pair_keys % array_rows,
             rows=rows,
@@ -211,6 +227,7 @@ class SparseRowBatch:
         return SparseRowBatch(
             n_trials=self.n_trials,
             array_rows=self.array_rows,
+            row_bits=self.row_bits,
             trial_idx=merged_keys // self.array_rows,
             row_idx=merged_keys % self.array_rows,
             rows=merged_rows,
@@ -227,6 +244,7 @@ class SparseRowBatch:
         return SparseRowBatch(
             n_trials=stop - start,
             array_rows=self.array_rows,
+            row_bits=self.row_bits,
             trial_idx=self.trial_idx[lo:hi] - start,
             row_idx=self.row_idx[lo:hi],
             rows=self.rows[lo:hi],
@@ -238,5 +256,7 @@ class SparseRowBatch:
         masks = np.zeros(
             (self.n_trials, self.array_rows, self.row_bits), dtype=np.uint8
         )
-        masks[self.trial_idx, self.row_idx] = self.rows
+        masks[self.trial_idx, self.row_idx] = np.unpackbits(
+            self.rows, axis=-1, count=self.row_bits
+        )
         return masks

@@ -177,3 +177,38 @@ class TestFreezeProperties:
             ExperimentSpec("x", params=params).content_hash()
             == ExperimentSpec("x", params=reordered).content_hash()
         )
+
+    def test_non_dict_mappings_freeze_to_frozen_dicts(self):
+        import types
+
+        from repro.api.spec import FrozenDict
+
+        proxy = types.MappingProxyType({"b": [1, {"c": 2}], "a": None})
+        frozen = freeze_params(proxy)
+        assert isinstance(frozen, FrozenDict)
+        assert frozen == freeze_params({"a": None, "b": [1, {"c": 2}]})
+
+
+#: The Fig. 3 Monte Carlo footprint mix, as a literal.
+FIG3_FOOTPRINTS = [
+    [[1, 1], 0.6], [[1, 2], 0.08], [[2, 2], 0.08], [[4, 4], 0.08],
+    [[8, 8], 0.06], [[16, 16], 0.05], [[32, 32], 0.05],
+]
+
+
+def test_nested_spec_hashes_are_pinned():
+    """Cache keys of existing entries: these digests must never move."""
+    spec = ExperimentSpec(
+        "sweep.mc_coverage", backend="monte_carlo", trials=1024, seed=3,
+        params={"scheme": "2d_edc8_edc32", "rows": 256, "scenario": "clustered_mbu",
+                "scenario_params": {"footprints": FIG3_FOOTPRINTS, "spread": 0.0},
+                "tags": ("a", None, True, 2)},
+    )
+    assert spec.content_hash() == (
+        "09ba6e3137ac4f9ecf9535f8f2e5f8105dad0d43dfa2dc5512fd3a26d31a1c83"
+    )
+    payload = {"params": spec.param_dict(),
+               "nested": {"b": [1, 2.5, {"c": None}], "a": "x"}}
+    assert content_hash(payload) == (
+        "6b7ab468a69506f051d1c82db0db6327d496acab68c4da1ac132467e1cab69d6"
+    )

@@ -52,6 +52,19 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             wilson_interval(1, 10, confidence=1.5)
 
+    def test_z_score_is_cached_and_exact(self):
+        from scipy import stats
+
+        from repro.engine.aggregate import _z_score
+
+        first = _z_score(0.95)
+        assert _z_score(0.95) is first
+        assert first == float(stats.norm.ppf(0.975))
+        # Invalid confidences still raise, however often they are asked.
+        for bad in (0, 1, 0, 1):
+            with pytest.raises(ValueError):
+                _z_score(bad)
+
 
 class TestTrialCounts:
     def test_from_verdicts(self):

@@ -19,7 +19,6 @@ from repro.engine import (
     BlockStreams,
     ClusterErrorModel,
     EngineSpec,
-    PackedBlock,
     make_decoder,
     packed_decoder,
     run_experiment,
@@ -27,6 +26,7 @@ from repro.engine import (
     run_recovery_batch,
 )
 from repro.engine.rng import block_generator
+from repro.scenarios import generators
 from repro.scenarios import (
     BurstColumnScenario,
     BurstRowScenario,
@@ -96,19 +96,20 @@ def _unpack(rows: np.ndarray, spec) -> np.ndarray:
     return np.unpackbits(rows, axis=-1, count=spec.row_bits)
 
 
-def _all_rows_block(masks: np.ndarray) -> PackedBlock:
+def _all_rows_block(masks: np.ndarray) -> SparseRowBatch:
     """A dense block: every row listed, clean or not."""
-    trials, rows, _ = masks.shape
+    trials, rows, row_bits = masks.shape
     trial_idx, row_idx = np.divmod(np.arange(trials * rows), rows)
-    return PackedBlock(trials, trial_idx, row_idx,
-                       np.packbits(masks, axis=-1).reshape(trials * rows, -1))
+    return SparseRowBatch(
+        n_trials=trials, array_rows=rows, row_bits=row_bits,
+        trial_idx=trial_idx, row_idx=row_idx,
+        rows=np.packbits(masks, axis=-1).reshape(trials * rows, -1),
+    )
 
 
 def _assert_kernel_matches_reference(spec, masks):
     expected = run_recovery_batch(spec, masks)
-    for block in (PackedBlock.from_masks(masks),
-                  PackedBlock.from_sparse(SparseRowBatch.from_masks(masks)),
-                  _all_rows_block(masks)):
+    for block in (SparseRowBatch.from_masks(masks), _all_rows_block(masks)):
         assert np.array_equal(run_packed(spec, block), expected)
 
 
@@ -120,7 +121,7 @@ class TestPacking:
     @pytest.mark.parametrize("spec", SPEC_GRID, ids=lambda s: s.horizontal_code)
     def test_pack_unpack_round_trip(self, spec, rng):
         masks = _random_masks(spec, rng, trials=16, p=0.01)
-        block = PackedBlock.from_masks(masks)
+        block = SparseRowBatch.from_masks(masks)
         assert block.rows.shape[1] == packed_decoder(spec).row_bytes
         dirty = masks.any(axis=-1)
         assert len(block.rows) == dirty.sum()
@@ -135,7 +136,7 @@ class TestPacking:
         for spec in PADDED_SPECS:
             masks = np.zeros((1, spec.rows, spec.row_bits), dtype=np.uint8)
             masks[0, 3, [0, 9, spec.row_bits - 1]] = 1
-            block = PackedBlock.from_masks(masks)
+            block = SparseRowBatch.from_masks(masks)
             assert block.rows.shape == (1, -(-spec.row_bits // 8))
             expected = np.zeros(block.rows.shape[1], dtype=np.uint8)
             for cell in (0, 9, spec.row_bits - 1):
@@ -223,7 +224,7 @@ class TestKernelEquivalence:
     def test_all_clean_and_all_dirty_blocks(self, name, rng):
         spec = MC_SCHEMES[name]
         clean = np.zeros((8, spec.rows, spec.row_bits), dtype=np.uint8)
-        assert len(PackedBlock.from_masks(clean).rows) == 0
+        assert len(SparseRowBatch.from_masks(clean).rows) == 0
         _assert_kernel_matches_reference(spec, clean)
         # Every row dirty: a column burst, and random rows at p = 0.3.
         burst = BurstColumnScenario(span=2).sample(block_generator(4, 0), 16, spec)
@@ -265,8 +266,94 @@ class TestSparseRowBatch:
         batch = SparseRowBatch.empty(7, spec.rows, spec.row_bits)
         assert batch.n_pairs == 0
         assert batch.densify().shape == (7, spec.rows, spec.row_bits)
-        verdicts = run_packed(spec, PackedBlock.from_sparse(batch))
+        verdicts = run_packed(spec, batch)
         assert np.array_equal(verdicts, np.zeros(7, dtype=np.uint8))
+
+
+# ----------------------------------------------------------------------
+# packed emitters: bytes built directly equal np.packbits of the masks
+# ----------------------------------------------------------------------
+
+#: Row widths: whole bytes (the Fig. 3 bank) and the padded 63/66 cells.
+ROW_WIDTHS = [288, 63, 66]
+
+
+def _span_cases(row_bits: int) -> list[tuple[int, int]]:
+    """``(c0, width)`` spans that start and end inside a byte, on byte
+    boundaries, at either end of the row, and with zero width."""
+    return [
+        (0, 0), (5, 0), (0, 1), (0, 8), (0, row_bits), (3, 2), (5, 7),
+        (7, 1), (8, 16), (9, 30), (16, 8), (row_bits - 1, 1),
+        (row_bits - 10, 10), (row_bits - 8, 8), (1, row_bits - 1),
+        (row_bits // 2, row_bits - row_bits // 2), (row_bits, 0),
+    ]
+
+
+class TestPackedEmitters:
+    @pytest.mark.parametrize("row_bits", ROW_WIDTHS)
+    def test_row_spans_equal_packed_masks(self, row_bits):
+        spans = _span_cases(row_bits)
+        n = len(spans)
+        c0 = np.array([c for c, _ in spans])
+        widths = np.array([w for _, w in spans])
+        r0 = np.arange(n) % 5
+        heights = np.arange(n) % 4 + 1
+        masks = np.zeros((n, 8, row_bits), dtype=np.uint8)
+        for t in range(n):
+            masks[t, r0[t]:r0[t] + heights[t], c0[t]:c0[t] + widths[t]] = 1
+        batch = SparseRowBatch.from_row_spans(n, 8, row_bits, r0, heights, c0, widths)
+        reference = SparseRowBatch.from_masks(masks)
+        assert batch.row_bits == row_bits
+        assert np.array_equal(batch.trial_idx, reference.trial_idx)
+        assert np.array_equal(batch.row_idx, reference.row_idx)
+        assert np.array_equal(
+            batch.rows, np.packbits(masks, axis=-1)[batch.trial_idx, batch.row_idx]
+        )
+        assert np.array_equal(batch.densify(), masks)
+
+    @pytest.mark.parametrize("row_bits", ROW_WIDTHS)
+    def test_solid_clusters_equal_packed_solid_cluster_masks(self, row_bits):
+        rng = np.random.default_rng(row_bits)
+        heights = rng.integers(1, 12, size=200)
+        widths = rng.integers(0, row_bits + 1, size=200)
+        masks = generators.solid_cluster_masks(
+            np.random.default_rng(3), heights, widths, 10, row_bits
+        )
+        batch = generators.solid_cluster_sparse(
+            np.random.default_rng(3), heights, widths, 10, row_bits
+        )
+        packed = np.packbits(masks, axis=-1)
+        dirty = np.nonzero(packed.any(axis=-1))
+        assert np.array_equal(batch.trial_idx, dirty[0])
+        assert np.array_equal(batch.row_idx, dirty[1])
+        assert np.array_equal(batch.rows, packed[dirty])
+
+    @pytest.mark.parametrize("row_bits", ROW_WIDTHS)
+    def test_cells_or_into_their_bytes(self, row_bits):
+        # Neighbouring cells share a byte, and a repeated cell ORs in.
+        cols = np.array([0, 1, 7, 8, row_bits - 1, row_bits - 2, 1, 9])
+        trials = np.array([0, 0, 0, 1, 1, 1, 0, 2])
+        rows = np.array([2, 2, 2, 0, 3, 3, 2, 4])
+        batch = SparseRowBatch.from_cells(3, 5, row_bits, trials, rows * row_bits + cols)
+        masks = np.zeros((3, 5, row_bits), dtype=np.uint8)
+        masks[trials, rows, cols] = 1
+        reference = SparseRowBatch.from_masks(masks)
+        assert np.array_equal(batch.trial_idx, reference.trial_idx)
+        assert np.array_equal(batch.row_idx, reference.row_idx)
+        assert np.array_equal(batch.rows, reference.rows)
+
+    @pytest.mark.parametrize("spec", [FIG3_SPEC] + PADDED_SPECS,
+                             ids=["fig3", "padded63", "padded66"])
+    @pytest.mark.parametrize("span", [1, 3, 9])
+    def test_burst_column_sparse_is_the_dense_sample(self, spec, span):
+        model = BurstColumnScenario(span=span)
+        sparse_gen, dense_gen = block_generator(8, 2), block_generator(8, 2)
+        batch = model.sample_sparse(sparse_gen, 64, spec)
+        masks = model.sample(dense_gen, 64, spec)
+        assert batch.n_pairs == 64 * spec.rows  # every row dirty
+        assert np.array_equal(batch.densify(), masks)
+        # Both emitters leave the generator in the same state.
+        assert sparse_gen.bit_generator.state == dense_gen.bit_generator.state
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +366,7 @@ SPARSE_SCENARIOS = [
     FixedClusterScenario(height=3, width=9),
     IidUniformScenario(n_cells=5),
     BurstRowScenario(span=2),
+    BurstColumnScenario(span=2),
     HardFaultMapScenario(defect_density=2e-4),
     CompositeScenario(),
 ]
@@ -349,15 +437,15 @@ class TestSparsePipeline:
         spec = FIG3_SPEC
         masks = model.sample(block_generator(11, 0), 192, spec)
         dense = run_recovery_batch(spec, masks)
-        sparse = run_packed(spec, PackedBlock.from_sparse(
-            model.sample_sparse(block_generator(11, 0), 192, spec)
-        ))
+        sparse = run_packed(
+            spec, model.sample_sparse(block_generator(11, 0), 192, spec)
+        )
         assert np.array_equal(dense, sparse)
 
     def test_geometry_mismatch_rejected(self, rng):
         masks = (rng.random((4, 8, 24)) < 0.2).astype(np.uint8)
         with pytest.raises(ValueError, match="geometry"):
-            run_packed(FIG3_SPEC, PackedBlock.from_masks(masks))
+            run_packed(FIG3_SPEC, SparseRowBatch.from_masks(masks))
 
 
 # ----------------------------------------------------------------------
@@ -397,3 +485,47 @@ class TestExecutionModes:
             result = run_experiment(FIG3_SPEC, model, 128, seed=2, block_size=64,
                                     n_workers=n_workers)
             assert np.array_equal(result.verdicts, expected)
+
+
+class TestPackedRuns:
+    """Whole runs on packed emitters against the uint8 reference loop.
+
+    Verdict arrays are pinned, not counts: on these configurations most
+    trials land in one class, so counts alone would hide a swapped
+    trial."""
+
+    @pytest.mark.parametrize("scheme, rows, span", [
+        ("2d_edc8_edc32", 128, 1),
+        ("secded_intv4", 64, 1),
+        ("l2.2d", 64, 2),
+    ])
+    def test_burst_column_runs_match_reference(self, scheme, rows, span):
+        spec = EngineSpec.from_scheme(named_schemes()[scheme], rows=rows)
+        model = BurstColumnScenario(span=span)
+        expected = _reference_verdicts(spec, model, 384, seed=7, block_size=128)
+        for n_workers in (1, 2):
+            result = run_experiment(spec, model, 384, seed=7, block_size=128,
+                                    n_workers=n_workers)
+            assert np.array_equal(result.verdicts, expected), n_workers
+
+    @pytest.mark.parametrize("code", ["EDC8", "SECDED"])
+    def test_lone_and_shared_vertical_groups_match_reference(self, code):
+        # 16 vertical groups over 64 rows: clusters shorter than 16 rows
+        # put each dirty row alone in its group, taller ones share groups.
+        spec = EngineSpec(rows=64, data_bits=64, interleave_degree=4,
+                          horizontal_code=code, vertical_groups=16)
+        model = CompositeScenario(
+            soft=ClusteredMbuScenario(
+                footprints=(((3, 5), 1.0), ((12, 1), 1.0), ((24, 2), 1.0), ((40, 9), 0.5))
+            ),
+            hard=HardFaultMapScenario(defect_density=2e-4),
+        )
+        batch = model.sample_sparse_block(BlockStreams(21, 0), 256, spec)
+        _, sizes = np.unique(batch.trial_idx * 16 + batch.row_idx % 16, return_counts=True)
+        assert (sizes == 1).any() and (sizes > 1).any()
+        expected = _reference_verdicts(spec, model, 512, seed=21, block_size=256)
+        assert len(np.unique(expected)) > 1
+        for n_workers in (1, 2):
+            result = run_experiment(spec, model, 512, seed=21, block_size=256,
+                                    n_workers=n_workers)
+            assert np.array_equal(result.verdicts, expected), n_workers

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from repro.coding.base import CodeStatus
 from repro.coding.parity import InterleavedParityCode
-from repro.engine import EngineSpec, PackedBlock, run_recovery_batch
+from repro.engine import EngineSpec, run_recovery_batch
 from repro.engine.batch import ParityVectorDecoder
 from repro.engine.packed import PackedDecoder, run_packed
+from repro.scenarios import SparseRowBatch
 
 
 class ScrambledParityCode(InterleavedParityCode):
@@ -116,7 +117,7 @@ def test_generic_groups_kernel_verdicts_match_reference(seed, density, two_d):
     rng = np.random.default_rng(seed)
     masks = (rng.random((24, spec.rows, spec.row_bits)) < density).astype(np.uint8)
     expected = run_recovery_batch(spec, masks, ParityVectorDecoder(code, degree))
-    got = run_packed(spec, PackedBlock.from_masks(masks), PackedDecoder(code, degree))
+    got = run_packed(spec, SparseRowBatch.from_masks(masks), PackedDecoder(code, degree))
     assert np.array_equal(got, expected)
 
 
